@@ -23,19 +23,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from praf.corpus import load_codebook
-from praf.detect import DIMENSION_ORDER, DetectionDimension as Dim, default_rules_path, detect_all, load_rules
+from praf.detect import DIMENSIONS, DetectionDimension as Dim, default_rules_path, detect_all, load_rules
 from praf.ingest import PolicyDocument, InaccessibleReason, cache_put, extract_text
-from praf.readability import band, count_polysyllables, sentence_spans, smog_grade
+from praf.readability import (
+    BAND_EDGES,
+    SMOG_INTERCEPT,
+    SMOG_SLOPE,
+    ReadabilityBand,
+    band,
+    count_polysyllables,
+    sentence_spans,
+    smog_grade,
+)
 
 FIXTURES = ROOT / "src" / "praf" / "data" / "fixtures"
 CACHE_DIR = FIXTURES / "cache"
 FETCHED_AT = datetime(2025, 1, 15, tzinfo=timezone.utc)
 
-SMOG_SLOPE = 1.0430
-SMOG_INTERCEPT = 3.1291
+# The Professional band is open-ended; 30.0 caps the grades searched for it.
+_BAND_BOUNDS = (0.0, *BAND_EDGES, 30.0)
 BAND_INTERVALS = {
-    "SD": (0.0, 9.5), "SWD": (9.5, 10.5), "FD": (10.5, 11.5),
-    "D": (11.5, 12.5), "VD": (12.5, 13.5), "P": (13.5, 30.0),
+    b.code: (lo, hi) for b, lo, hi in zip(ReadabilityBand, _BAND_BOUNDS, _BAND_BOUNDS[1:])
 }
 
 INTRO = [
@@ -387,7 +395,7 @@ def validate(app: str, html: str, verdicts: dict, level: str) -> bool:
     text = extract_text(html.encode(), "text/html")
     rules = load_rules(default_rules_path())
     findings = {f.dimension: f for f in detect_all(text, rules)}
-    for dim in DIMENSION_ORDER:
+    for dim in DIMENSIONS:
         if findings[dim].verdict.value != verdicts[dim]:
             return False
     result = smog_grade(text)

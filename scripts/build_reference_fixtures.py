@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from praf.detect import DIMENSION_ORDER, Finding, Verdict
+from praf.detect import DIMENSIONS, Finding, Verdict
 from praf.readability import ReadabilityResult, band
 from praf.score import ScoringInput, score_app
 
@@ -119,7 +119,7 @@ SUMMARY_TARGETS = {
 def verdicts_for(marks: str) -> dict:
     flat = marks.replace(" ", "")
     assert len(flat) == 13, marks
-    return {dim: MARK[c] for dim, c in zip(DIMENSION_ORDER, flat)}
+    return {dim: MARK[c] for dim, c in zip(DIMENSIONS, flat)}
 
 
 def self_check(rows) -> None:

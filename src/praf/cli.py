@@ -20,7 +20,8 @@ import click
 from . import pipeline
 from .corpus import load_codebook
 from .detect import default_rules_path, load_rules
-from .errors import PrafError
+from .errors import IoFailure, PrafError
+from .ingest import atomic_write
 from .report import (
     emit_app_report,
     emit_matrix,
@@ -45,13 +46,13 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _resolve_cache(cache: str | None, *, for_write: bool, offline: bool) -> Path:
+def _resolve_cache(cache: str | None, *, writable: bool) -> Path:
     if cache:
         return Path(cache)
     env = os.environ.get("PRAF_CACHE")
     if env:
         return Path(env)
-    if for_write and not offline:
+    if writable:
         _fail(EXIT_CONFIG, "no writable cache directory; pass --cache or set PRAF_CACHE")
     return FIXTURES_DIR / "cache"
 
@@ -68,12 +69,12 @@ def _timestamp() -> str:
 
 
 def _write(path: Path, body: str, *, stamp: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     if stamp:
         body = f"<!-- generated: {_timestamp()} -->\n" + body
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(body, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        atomic_write(path, body)
+    except IoFailure as exc:
+        _fail(EXIT_CONFIG, str(exc))
 
 
 @click.group()
@@ -93,10 +94,13 @@ def main() -> None:
 def fetch(codebook, cache, offline, jobs, respect_robots):
     """Fetch privacy policies into the cache and print a status manifest."""
     cb = _load_codebook_or_fail(Path(codebook))
-    cache_dir = _resolve_cache(cache, for_write=True, offline=offline)
-    manifest = pipeline.fetch_corpus(
-        cb, cache_dir, offline=offline, jobs=jobs, respect_robots=respect_robots,
-    )
+    cache_dir = _resolve_cache(cache, writable=not offline)
+    try:
+        manifest = pipeline.fetch_corpus(
+            cb, cache_dir, offline=offline, jobs=jobs, respect_robots=respect_robots,
+        )
+    except PrafError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     click.echo(json.dumps({"cache": str(cache_dir), "apps": manifest}, indent=2))
 
 
@@ -112,53 +116,44 @@ def fetch(codebook, cache, offline, jobs, respect_robots):
 @click.option("--format", "formats", multiple=True,
               type=click.Choice(["markdown", "csv", "json"]),
               help="Matrix formats to emit (repeatable; default: all three).")
-@click.option("--offline", is_flag=True,
-              help="Audit strictly from the cache (the default behavior; flag kept for parity).")
 @click.option("--jobs", type=int, default=pipeline.DEFAULT_JOBS, show_default=True)
 @click.option("--reveal-names", is_flag=True,
               help="Include real app names in per-app reports (redacted by default).")
-def audit(codebook, cache, rules, out, formats, offline, jobs, reveal_names):
+def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
     """Score every app from cached policies + annotations and write reports."""
-    del offline  # audit never fetches; it always runs from the cache
     cb = _load_codebook_or_fail(Path(codebook))
     rules_path = Path(rules)
     try:
         ruleset = load_rules(rules_path)
     except PrafError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    cache_dir = _resolve_cache(cache, for_write=False, offline=True)
-    missing = pipeline.missing_inputs(cb, cache_dir)
-    if missing:
+    cache_dir = _resolve_cache(cache, writable=False)
+    try:
+        result = pipeline.run_audit(cb, cache_dir, ruleset, jobs=jobs)
+    except PrafError as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    if result.incomplete:
         _fail(EXIT_INCOMPLETE,
-              "no cached policy and incomplete annotations for: " + ", ".join(missing))
-    result = pipeline.run_audit(cb, cache_dir, ruleset, jobs=jobs)
+              "no cached policy and incomplete annotations for: " + ", ".join(result.incomplete))
+    audits = result.audits
 
     out_dir = Path(out)
     formats = tuple(formats) or ("markdown", "csv", "json")
-    findings = result.findings_by_app
-    readability = result.readability_by_app
-    profiles = result.profiles_by_app
-
     ext = {"markdown": "md", "csv": "csv", "json": "json"}
     for fmt in formats:
-        _write(out_dir / f"matrix.{ext[fmt]}",
-               emit_matrix(cb, findings, readability, profiles, fmt),
+        _write(out_dir / f"matrix.{ext[fmt]}", emit_matrix(audits, fmt),
                stamp=(fmt == "markdown"))
 
-    summary = None
-    if profiles:
-        summary = summarize(list(profiles.values()), findings, readability)
+    if audits:
+        summary = summarize(audits)
         if "markdown" in formats:
             _write(out_dir / "summary.md", emit_summary_markdown(summary), stamp=True)
         _write(out_dir / "summary.json", summary_to_json(summary))
-    _write(out_dir / "smog.csv", emit_smog_csv(cb, readability))
+    _write(out_dir / "smog.csv", emit_smog_csv(audits))
 
     if "markdown" in formats:
-        for audit_item in result.audits:
-            body = emit_app_report(
-                audit_item.record, audit_item.findings, audit_item.readability,
-                audit_item.profile, text=audit_item.text, reveal_names=reveal_names,
-            )
+        for audit_item in audits:
+            body = emit_app_report(audit_item, reveal_names=reveal_names)
             _write(out_dir / "apps" / f"{audit_item.record.pseudonym}.md", body, stamp=True)
 
     run_meta = {
@@ -170,15 +165,15 @@ def audit(codebook, cache, rules, out, formats, offline, jobs, reveal_names):
         "apps": [
             {
                 "app": a.record.pseudonym,
-                "accessible": a.document is not None and a.document.accessible,
+                "accessible": a.accessible,
                 "overall": a.profile.overall,
             }
-            for a in result.audits
+            for a in audits
         ],
         "detector_agreement": result.agreement(),
     }
     _write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n")
-    click.echo(f"audited {len(result.audits)} apps -> {out_dir}")
+    click.echo(f"audited {len(audits)} apps -> {out_dir}")
     agreement = run_meta["detector_agreement"]
     if agreement["rate"] is not None:
         click.echo(

@@ -9,9 +9,7 @@ the file for the auditors and are redacted from all outputs by default.
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -19,7 +17,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .detect import DetectionDimension, Verdict
-from .errors import IoFailure, MalformedCodebook, MissingFile
+from .errors import MalformedCodebook, MissingFile
+from .ingest import atomic_write
 
 PSEUDONYM_RE = re.compile(r"^[A-Za-z][1-9][0-9]*$")
 
@@ -228,20 +227,8 @@ def _annotation_to_json(ann: AnnotationSet) -> dict:
 
 def save_codebook(codebook: Codebook, path: str | Path) -> None:
     """Atomic write (temp file + rename); load_codebook(save) round-trips."""
-    path = Path(path)
     payload = {
         "records": [_record_to_json(r) for r in codebook.records],
         "annotations": [_annotation_to_json(a) for a in codebook.annotations],
     }
-    body = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write codebook to {path}: {exc}") from exc
+    atomic_write(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")

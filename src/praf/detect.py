@@ -11,6 +11,11 @@ Rule files map each dimension to ``{"strong": [...], "weak": [...],
 detectors, ``ambiguous_language.strong`` holds the hedge terms and
 ``vague_commitments`` uses ``strong`` for generic assurances with ``weak``
 for the concrete-mechanism terms that defuse them.
+
+:data:`DIMENSIONS` is the one table of the rubric's layout: for each
+dimension its detector kind, matrix column and header, the rubric element it
+feeds and its summary count. The element table is ``score.ELEMENTS``; the
+detectors, scoring, reports and verification all read these two tables.
 """
 
 from __future__ import annotations
@@ -48,39 +53,64 @@ class DetectionDimension(Enum):
     THIRD_PARTY_SHARING = "third_party_sharing"
 
 
-# Table column order: regulations, key principles, limitations/gaps.
-DIMENSION_ORDER = (
-    DetectionDimension.HIPAA_MENTION,
-    DetectionDimension.GDPR_MENTION,
-    DetectionDimension.OTHER_REGULATION,
-    DetectionDimension.DATA_MINIMIZATION,
-    DetectionDimension.DATA_ENCRYPTION,
-    DetectionDimension.ACCESS_CONTROLS,
-    DetectionDimension.CONSENT_REQUIREMENTS,
-    DetectionDimension.RETENTION_TIME,
-    DetectionDimension.BREACH_PROTOCOL,
-    DetectionDimension.AMBIGUOUS_LANGUAGE,
-    DetectionDimension.VAGUE_COMMITMENTS,
-    DetectionDimension.ACCESSIBILITY_ACCOMMODATIONS,
-    DetectionDimension.THIRD_PARTY_SHARING,
-)
+@dataclass(frozen=True)
+class DimensionSpec:
+    """How one dimension is detected, shown and scored."""
 
-REGULATION_DIMENSIONS = (
-    DetectionDimension.HIPAA_MENTION,
-    DetectionDimension.GDPR_MENTION,
-    DetectionDimension.OTHER_REGULATION,
-)
+    kind: str                        # "regulation", "principle" or "language"
+    column: str                      # matrix column
+    header: str                      # markdown matrix header
+    element: str | None              # rubric element it feeds; None = tracked, unscored
+    count: tuple[str, str] | None = None  # summary count key and label
 
-PRINCIPLE_DIMENSIONS = (
-    DetectionDimension.DATA_MINIMIZATION,
-    DetectionDimension.DATA_ENCRYPTION,
-    DetectionDimension.ACCESS_CONTROLS,
-    DetectionDimension.CONSENT_REQUIREMENTS,
-    DetectionDimension.RETENTION_TIME,
-    DetectionDimension.BREACH_PROTOCOL,
-    DetectionDimension.THIRD_PARTY_SHARING,
-    DetectionDimension.ACCESSIBILITY_ACCOMMODATIONS,
-)
+
+_D = DetectionDimension
+
+# The rubric layout of every dimension, in matrix column order.
+DIMENSIONS: dict[DetectionDimension, DimensionSpec] = {
+    _D.HIPAA_MENTION: DimensionSpec(
+        "regulation", "hipaa", "HIPAA", "regulatory", ("hipaa", "HIPAA mentioned")),
+    _D.GDPR_MENTION: DimensionSpec(
+        "regulation", "gdpr", "GDPR", "regulatory", ("gdpr", "GDPR mentioned")),
+    _D.OTHER_REGULATION: DimensionSpec(
+        "regulation", "other_regulations", "Other", "regulatory",
+        ("other_regulation", "Other regulations mentioned")),
+    _D.DATA_MINIMIZATION: DimensionSpec(
+        "principle", "data_minimization", "Min", "min_retention",
+        ("minimization", "Data minimization addressed")),
+    _D.DATA_ENCRYPTION: DimensionSpec(
+        "principle", "data_encryption", "Enc", "security",
+        ("encryption", "Encryption addressed")),
+    _D.ACCESS_CONTROLS: DimensionSpec(
+        "principle", "access_controls", "Access", "security",
+        ("access_controls", "Access controls addressed")),
+    _D.CONSENT_REQUIREMENTS: DimensionSpec(
+        "principle", "consent_requirements", "Consent", None),
+    _D.RETENTION_TIME: DimensionSpec(
+        "principle", "retention_time", "Ret", "min_retention",
+        ("retention", "Retention period stated")),
+    _D.BREACH_PROTOCOL: DimensionSpec(
+        "principle", "breach_protocol", "Breach", "security",
+        ("breach_protocol", "Breach protocol described")),
+    _D.AMBIGUOUS_LANGUAGE: DimensionSpec(
+        "language", "ambiguous_language", "Ambig", "usability"),
+    _D.VAGUE_COMMITMENTS: DimensionSpec(
+        "language", "vague_commitments", "Vague", "usability"),
+    _D.ACCESSIBILITY_ACCOMMODATIONS: DimensionSpec(
+        "principle", "accessibility_accommodations", "A11y", "usability"),
+    _D.THIRD_PARTY_SHARING: DimensionSpec(
+        "principle", "third_party_sharing", "3rd", "third_party",
+        ("third_party", "Third-party sharing disclosed")),
+}
+
+
+def dimensions(*, kind: str | None = None, element: str | None = None) -> list[DetectionDimension]:
+    """Dimensions of the table in column order, optionally only those of one
+    kind or one rubric element."""
+    return [dim for dim, spec in DIMENSIONS.items()
+            if (kind is None or spec.kind == kind)
+            and (element is None or spec.element == element)]
+
 
 # Canonical display names for matched regulation patterns.
 REGULATION_ALIASES = {
@@ -257,7 +287,7 @@ def detect_regulations(text: str, rules: RuleSet) -> list[Finding]:
     """Findings for the three regulation dimensions, in column order."""
     sentences = sentence_spans(text)
     findings = []
-    for dim in REGULATION_DIMENSIONS:
+    for dim in dimensions(kind="regulation"):
         dr = rules.rules_for(dim)
         strong_spans, matched = _collect(dr.strong, text, sentences)
         if strong_spans:
@@ -303,7 +333,7 @@ def detect_principle(text: str, dimension: DetectionDimension, rules: RuleSet) -
     hedged coverage (partial). Retention findings carry an extracted duration
     when a number+unit appears near the retention language.
     """
-    if dimension not in PRINCIPLE_DIMENSIONS:
+    if DIMENSIONS[dimension].kind != "principle":
         raise UnsupportedDimension(
             f"{dimension.value} is not a principle dimension; use its dedicated detector"
         )
@@ -371,16 +401,16 @@ def detect_vague_commitments(text: str, rules: RuleSet) -> Finding:
 def detect_all(text: str, rules: RuleSet) -> list[Finding]:
     """All thirteen findings in table column order."""
     by_dim = {f.dimension: f for f in detect_regulations(text, rules)}
-    for dim in PRINCIPLE_DIMENSIONS:
+    for dim in dimensions(kind="principle"):
         by_dim[dim] = detect_principle(text, dim, rules)
     by_dim[DetectionDimension.AMBIGUOUS_LANGUAGE] = detect_ambiguity(text, rules)
     by_dim[DetectionDimension.VAGUE_COMMITMENTS] = detect_vague_commitments(text, rules)
-    return [by_dim[dim] for dim in DIMENSION_ORDER]
+    return [by_dim[dim] for dim in DIMENSIONS]
 
 
 def no_findings() -> list[Finding]:
     """All-no findings, used for policies with no analyzable text."""
-    return [Finding(dim, Verdict.NO) for dim in DIMENSION_ORDER]
+    return [Finding(dim, Verdict.NO) for dim in DIMENSIONS]
 
 
 def apply_overrides(findings: list[Finding], overrides: Mapping[DetectionDimension, Verdict]) -> list[Finding]:

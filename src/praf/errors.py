@@ -21,6 +21,10 @@ class MalformedCodebook(PrafError):
         super().__init__(f"{message} (at {locator})" if locator else message)
 
 
+class CorruptCache(PrafError):
+    """A cache entry exists but does not parse back into a document."""
+
+
 class MalformedRules(PrafError):
     """Rule file is invalid: bad syntax, unknown dimension, or empty rule list."""
 
@@ -51,7 +55,3 @@ class MissingReadability(PrafError):
 
 class EmptyCorpus(PrafError):
     """Summary statistics need at least one profile."""
-
-
-class RowMismatch(PrafError):
-    """Matrix emission found profiles that do not align with the codebook."""

@@ -29,7 +29,7 @@ from urllib.parse import urljoin, urlparse
 
 import requests
 
-from .errors import EmptyAfterExtraction, IoFailure
+from .errors import CorruptCache, EmptyAfterExtraction, IoFailure
 
 DEFAULT_USER_AGENT = "praf-policy-auditor/0.1 (+privacy policy research)"
 DEFAULT_TIMEOUT = 10.0
@@ -353,25 +353,35 @@ def _doc_from_json(data: dict) -> PolicyDocument:
 
 
 def cache_get(cache_dir: str | Path, url: str) -> PolicyDocument | None:
+    """The cached document for url, None when there is none; raises
+    CorruptCache when the entry does not parse back into a document."""
     path = _cache_path(cache_dir, url)
     if not path.exists():
         return None
-    return _doc_from_json(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return _doc_from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptCache(f"corrupt cache entry {path}: {exc!r}") from exc
 
 
 def cache_put(cache_dir: str | Path, url: str, doc: PolicyDocument) -> None:
-    cache_dir = Path(cache_dir)
+    atomic_write(_cache_path(cache_dir, url),
+                 json.dumps(_doc_to_json(doc), indent=2, ensure_ascii=False))
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write text through a temp file in the same directory and a rename, so
+    readers never see a torn file; creates missing parent directories."""
+    path = Path(path)
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path = _cache_path(cache_dir, url)
-        body = json.dumps(_doc_to_json(doc), indent=2, ensure_ascii=False)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".cache.", suffix=".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write cache entry for {url}: {exc}") from exc
+        raise IoFailure(f"cannot write {path}: {exc}") from exc

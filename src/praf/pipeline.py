@@ -1,8 +1,9 @@
 """Pipeline orchestration shared by the CLI commands.
 
 fetch: resolve each codebook record to a cached PolicyDocument (live HTTP or
-cache/offline replay). audit: detect, apply annotation overrides, compute
-readability, score, and assemble report artifacts. Per-app work runs on a
+cache/offline replay). audit: detect, compute readability, then apply the
+annotation overrides and score in :func:`audit_from_findings`, which verify
+shares to score the reference annotations. Per-app work runs on a
 bounded thread pool; results are always collected in codebook order so output
 is deterministic.
 """
@@ -36,18 +37,6 @@ from .readability import ReadabilityResult, smog_grade
 from .score import PrafProfile, ScoringInput, score_app
 
 DEFAULT_JOBS = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    codebook_path: Path
-    cache_dir: Path
-    rules_path: Path
-    out_dir: Path
-    formats: tuple[str, ...] = ("markdown", "csv", "json")
-    offline: bool = False
-    jobs: int = DEFAULT_JOBS
-    reveal_names: bool = False
 
 
 # --- fetch ---------------------------------------------------------------------
@@ -105,18 +94,19 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
 
 @dataclass
 class AppAudit:
+    """One app's audit. An accessible policy always carries readability and
+    an inaccessible one never does; text is the analysed policy text, if any."""
+
     record: AppRecord
-    document: PolicyDocument | None
     findings: dict[Dim, Finding]
     detected: dict[Dim, Finding]
     readability: ReadabilityResult | None
     profile: PrafProfile
+    text: str | None = None
 
     @property
-    def text(self) -> str | None:
-        if self.document is not None and self.document.accessible:
-            return self.document.text
-        return None
+    def accessible(self) -> bool:
+        return self.readability is not None
 
 
 @dataclass
@@ -124,25 +114,13 @@ class AuditResult:
     audits: list[AppAudit]
     incomplete: list[str] = field(default_factory=list)
 
-    @property
-    def findings_by_app(self) -> dict[str, dict[Dim, Finding]]:
-        return {a.record.pseudonym: a.findings for a in self.audits}
-
-    @property
-    def readability_by_app(self) -> dict[str, ReadabilityResult | None]:
-        return {a.record.pseudonym: a.readability for a in self.audits}
-
-    @property
-    def profiles_by_app(self) -> dict[str, PrafProfile]:
-        return {a.record.pseudonym: a.profile for a in self.audits}
-
     def agreement(self) -> dict:
         """Detector/annotation agreement over manually annotated cells of
         accessible policies; reported as a metric, never asserted."""
         total = 0
         agree = 0
         for audit in self.audits:
-            if audit.document is None or not audit.document.accessible:
+            if not audit.accessible:
                 continue
             for dim, final in audit.findings.items():
                 if not final.manual:
@@ -159,56 +137,51 @@ class AuditResult:
 
 def audit_app(record: AppRecord, document: PolicyDocument | None,
               overrides: dict[Dim, Verdict], rules: RuleSet) -> AppAudit:
-    accessible = document is not None and document.accessible
-    if accessible:
-        detected = detect_all(document.text, rules)
-        readability = smog_grade(document.text)
-    else:
-        detected = no_findings()
-        readability = None
-    findings = apply_overrides(detected, overrides)
-    findings_map = {f.dimension: f for f in findings}
+    if document is not None and document.accessible:
+        return audit_from_findings(record, detect_all(document.text, rules), overrides,
+                                   smog_grade(document.text), document.text)
+    return audit_from_findings(record, no_findings(), overrides, None)
+
+
+def audit_from_findings(record: AppRecord, detected: list[Finding],
+                        overrides: dict[Dim, Verdict], readability: ReadabilityResult | None,
+                        text: str | None = None) -> AppAudit:
+    """Apply the annotation overrides to the detected findings and score the
+    app; it counts as accessible exactly when it has a readability result."""
+    findings = {f.dimension: f for f in apply_overrides(detected, overrides)}
     inp = ScoringInput(
         app=record.pseudonym,
-        accessible=accessible,
-        findings=findings_map,
+        accessible=readability is not None,
+        findings=findings,
         readability=readability,
     )
     return AppAudit(
         record=record,
-        document=document,
-        findings=findings_map,
+        findings=findings,
         detected={f.dimension: f for f in detected},
         readability=readability,
         profile=score_app(inp),
+        text=text,
     )
-
-
-def missing_inputs(codebook: Codebook, cache_dir: Path) -> list[str]:
-    """Apps that have neither a cached document nor complete annotations."""
-    missing = []
-    for rec in codebook.records:
-        doc = cache_get(cache_dir, rec.policy_url) if rec.policy_url else None
-        if doc is not None:
-            continue
-        overrides = codebook.overrides_for(rec.pseudonym)
-        if len(overrides) < len(Dim):
-            missing.append(rec.pseudonym)
-    return missing
 
 
 def run_audit(codebook: Codebook, cache_dir: Path, rules: RuleSet,
               jobs: int = DEFAULT_JOBS) -> AuditResult:
+    """Audit every record from its cached document and annotations. When an
+    app has neither a cached document nor complete annotations, nothing is
+    audited and those apps are listed in ``incomplete``."""
     docs = {
         rec.pseudonym: (cache_get(cache_dir, rec.policy_url) if rec.policy_url else None)
         for rec in codebook.records
     }
-
-    def work(rec: AppRecord) -> AppAudit:
-        return audit_app(rec, docs[rec.pseudonym], codebook.overrides_for(rec.pseudonym), rules)
-
-    if not codebook.records:
-        return AuditResult(audits=[])
+    incomplete = [app for app, doc in docs.items()
+                  if doc is None and len(codebook.overrides_for(app)) < len(Dim)]
+    if incomplete or not codebook.records:
+        return AuditResult(audits=[], incomplete=incomplete)
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [pool.submit(work, rec) for rec in codebook.records]
+        futures = [
+            pool.submit(audit_app, rec, docs[rec.pseudonym],
+                        codebook.overrides_for(rec.pseudonym), rules)
+            for rec in codebook.records
+        ]
         return AuditResult(audits=[f.result() for f in futures])

@@ -28,6 +28,9 @@ BAND_EDGES = (9.5, 10.5, 11.5, 12.5, 13.5)
 
 
 class ReadabilityBand(Enum):
+    """Difficulty bands from easiest to hardest; :func:`band` and the points
+    follow this member order."""
+
     SLIGHTLY_DIFFICULT = "SD"
     SOMEWHAT_DIFFICULT = "SWD"
     FAIRLY_DIFFICULT = "FD"
@@ -44,31 +47,15 @@ class ReadabilityBand(Enum):
         return self.name.replace("_", " ").title()
 
 
-_BAND_ORDER = (
-    ReadabilityBand.SLIGHTLY_DIFFICULT,
-    ReadabilityBand.SOMEWHAT_DIFFICULT,
-    ReadabilityBand.FAIRLY_DIFFICULT,
-    ReadabilityBand.DIFFICULT,
-    ReadabilityBand.VERY_DIFFICULT,
-    ReadabilityBand.PROFESSIONAL,
-)
-
 # Easier bands earn more usability points: Professional=1 .. Slightly Difficult=6.
-_BAND_POINTS = {
-    ReadabilityBand.PROFESSIONAL: 1,
-    ReadabilityBand.VERY_DIFFICULT: 2,
-    ReadabilityBand.DIFFICULT: 3,
-    ReadabilityBand.FAIRLY_DIFFICULT: 4,
-    ReadabilityBand.SOMEWHAT_DIFFICULT: 5,
-    ReadabilityBand.SLIGHTLY_DIFFICULT: 6,
-}
+_BAND_POINTS = {b: len(ReadabilityBand) - i for i, b in enumerate(ReadabilityBand)}
 
 
 def band(grade: float) -> ReadabilityBand:
     """Map a SMOG grade to its difficulty band (right-open intervals)."""
     if grade < 0:
         raise ValueError(f"grade must be non-negative, got {grade}")
-    for edge, b in zip(BAND_EDGES, _BAND_ORDER):
+    for edge, b in zip(BAND_EDGES, ReadabilityBand):
         if grade < edge:
             return b
     return ReadabilityBand.PROFESSIONAL

@@ -1,10 +1,12 @@
 """Report emission: corpus matrix, per-app narratives, summary statistics.
 
-Matrix columns follow the reference layout: app, category, three regulation
-verdicts, six key-principle verdicts, four limitation/gap verdicts, SMOG grade
-and band code, the five element scores and the overall score. Markdown uses
-the verdict glyphs (yes=●, partial=○, no=−); CSV and JSON carry the words so
-they parse back losslessly.
+Matrix columns follow the reference layout: app, category, the thirteen
+verdicts, SMOG grade and band code, the five element scores and the overall
+score. Verdict columns, per-app sections and summary counts come from
+``detect.DIMENSIONS``; score columns and element labels from
+``score.ELEMENTS``. Every emitter takes the pipeline's ``AppAudit`` records.
+Markdown uses the verdict glyphs (yes=●, partial=○, no=−); CSV and JSON carry
+the words so they parse back losslessly.
 """
 
 from __future__ import annotations
@@ -14,55 +16,34 @@ import io
 import json
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import AppRecord, Codebook
-from .detect import DetectionDimension as Dim, Finding, Verdict
-from .errors import EmptyCorpus, RowMismatch
+from .detect import DIMENSIONS, DetectionDimension as Dim, Verdict, dimensions
+from .errors import EmptyCorpus
 from .readability import ReadabilityResult
-from .score import PrafProfile
+from .score import ELEMENTS
+
+if TYPE_CHECKING:
+    from .pipeline import AppAudit
 
 GLYPHS = {Verdict.YES: "●", Verdict.PARTIAL: "○", Verdict.NO: "−"}
 
-VERDICT_COLUMNS = [
-    ("hipaa", Dim.HIPAA_MENTION),
-    ("gdpr", Dim.GDPR_MENTION),
-    ("other_regulations", Dim.OTHER_REGULATION),
-    ("data_minimization", Dim.DATA_MINIMIZATION),
-    ("data_encryption", Dim.DATA_ENCRYPTION),
-    ("access_controls", Dim.ACCESS_CONTROLS),
-    ("consent_requirements", Dim.CONSENT_REQUIREMENTS),
-    ("retention_time", Dim.RETENTION_TIME),
-    ("breach_protocol", Dim.BREACH_PROTOCOL),
-    ("ambiguous_language", Dim.AMBIGUOUS_LANGUAGE),
-    ("vague_commitments", Dim.VAGUE_COMMITMENTS),
-    ("accessibility_accommodations", Dim.ACCESSIBILITY_ACCOMMODATIONS),
-    ("third_party_sharing", Dim.THIRD_PARTY_SHARING),
-]
-
-SCORE_COLUMNS = [
-    ("regulatory_compliance", "regulatory"),
-    ("data_security", "security"),
-    ("usability_accessibility", "usability"),
-    ("minimization_retention", "min_retention"),
-    ("third_party", "third_party"),
-    ("overall_risk", "overall"),
-]
-
 MATRIX_COLUMNS = (
     ["pseudonym", "category"]
-    + [name for name, _ in VERDICT_COLUMNS]
+    + [spec.column for spec in DIMENSIONS.values()]
     + ["smog", "level"]
-    + [name for name, _ in SCORE_COLUMNS]
+    + [e.column for e in ELEMENTS]
 )
 
-ELEMENT_LABELS = {
-    "regulatory": ("Regulatory compliance", 4),
-    "security": ("Data security", 6),
-    "usability": ("Usability & accessibility", 12),
-    "min_retention": ("Minimization & retention", 4),
-    "third_party": ("Third-party sharing", 2),
-}
+_MARKDOWN_HEADER = (
+    ["App", "Use"]
+    + [spec.header for spec in DIMENSIONS.values()]
+    + ["SMOG", "Level"]
+    + [e.header for e in ELEMENTS]
+)
+
+# Summary signal with no dimension of its own; listed after the regulations.
+_NO_REGULATION = ("no_regulation", "No regulation mentioned")
 
 
 @dataclass(frozen=True)
@@ -86,58 +67,37 @@ def _app_key(pseudonym: str) -> tuple[str, int]:
     return pseudonym[0], int(pseudonym[1:])
 
 
-_COUNT_DIMS = {
-    "hipaa": Dim.HIPAA_MENTION,
-    "gdpr": Dim.GDPR_MENTION,
-    "other_regulation": Dim.OTHER_REGULATION,
-    "minimization": Dim.DATA_MINIMIZATION,
-    "encryption": Dim.DATA_ENCRYPTION,
-    "access_controls": Dim.ACCESS_CONTROLS,
-    "retention": Dim.RETENTION_TIME,
-    "breach_protocol": Dim.BREACH_PROTOCOL,
-    "third_party": Dim.THIRD_PARTY_SHARING,
-}
-
-
-def summarize(
-    profiles: Sequence[PrafProfile],
-    findings_by_app: Mapping[str, Mapping[Dim, Finding]],
-    readability_by_app: Mapping[str, ReadabilityResult | None],
-) -> CorpusSummary:
+def summarize(audits: Sequence[AppAudit]) -> CorpusSummary:
     """Corpus statistics; means and population SDs include zero-scored
     inaccessible apps, SMOG mean covers only apps with readability."""
-    if not profiles:
-        raise EmptyCorpus("summarize needs at least one profile")
-    total = len(profiles)
+    if not audits:
+        raise EmptyCorpus("summarize needs at least one audit")
+    total = len(audits)
 
-    counts = {}
-    for key, dim in _COUNT_DIMS.items():
-        counts[key] = sum(
-            1 for app in findings_by_app
-            if findings_by_app[app][dim].verdict is Verdict.YES
-        )
+    counts = {
+        spec.count[0]: sum(1 for a in audits if a.findings[dim].verdict is Verdict.YES)
+        for dim, spec in DIMENSIONS.items() if spec.count
+    }
     # Apps whose policy names no regulation at all; inaccessible policies are
     # reported separately, not in this count.
-    accessible_apps = [p.app for p in profiles if p.regulatory > 0]
-    counts["no_regulation"] = sum(
-        1 for app in accessible_apps
-        if all(findings_by_app[app][d].verdict is not Verdict.YES
-               for d in (Dim.HIPAA_MENTION, Dim.GDPR_MENTION, Dim.OTHER_REGULATION))
+    accessible = [a for a in audits if a.accessible]
+    counts[_NO_REGULATION[0]] = sum(
+        1 for a in accessible
+        if all(a.findings[d].verdict is not Verdict.YES for d in dimensions(kind="regulation"))
     )
     percentages = {key: _pct(n, total) for key, n in counts.items()}
 
     element_means = {}
     element_sds = {}
-    for name in ("regulatory", "security", "usability", "min_retention", "third_party", "overall"):
-        values = [getattr(p, name) for p in profiles]
-        element_means[name] = statistics.fmean(values)
-        element_sds[name] = statistics.pstdev(values)
+    for e in ELEMENTS:
+        values = [getattr(a.profile, e.field) for a in audits]
+        element_means[e.field] = statistics.fmean(values)
+        element_sds[e.field] = statistics.pstdev(values)
 
-    grades = [r.smog_grade for r in readability_by_app.values() if r is not None]
+    grades = [a.readability.smog_grade for a in accessible]
     smog_mean = statistics.fmean(grades) if grades else None
 
-    accessible = [p for p in profiles if p.regulatory > 0]
-    pool = accessible or list(profiles)
+    pool = [a.profile for a in accessible or audits]
     lo = min(p.overall for p in pool)
     hi = max(p.overall for p in pool)
     overall_min = (lo, tuple(sorted((p.app for p in pool if p.overall == lo), key=_app_key)))
@@ -166,42 +126,24 @@ def _smog_str(readability: ReadabilityResult | None) -> str:
     return str(int(g)) if g == int(g) else f"{g:.1f}"
 
 
-def _matrix_rows(
-    codebook: Codebook,
-    findings_by_app: Mapping[str, Mapping[Dim, Finding]],
-    readability_by_app: Mapping[str, ReadabilityResult | None],
-    profiles_by_app: Mapping[str, PrafProfile],
-) -> list[dict]:
+def _matrix_rows(audits: Sequence[AppAudit]) -> list[dict]:
     rows = []
-    for rec in codebook.records:
-        app = rec.pseudonym
-        if app not in profiles_by_app or app not in findings_by_app:
-            raise RowMismatch(f"no profile/findings for {app}")
-        profile = profiles_by_app[app]
-        readability = readability_by_app.get(app)
-        row: dict = {"pseudonym": app, "category": rec.category.value}
-        for name, dim in VERDICT_COLUMNS:
-            row[name] = findings_by_app[app][dim].verdict.value
+    for audit in audits:
+        readability = audit.readability
+        row: dict = {"pseudonym": audit.record.pseudonym, "category": audit.record.category.value}
+        for dim, spec in DIMENSIONS.items():
+            row[spec.column] = audit.findings[dim].verdict.value
         row["smog"] = None if readability is None else round(readability.smog_grade, 1)
         row["level"] = None if readability is None else readability.band.code
-        for name, attr in SCORE_COLUMNS:
-            row[name] = getattr(profile, attr)
+        for e in ELEMENTS:
+            row[e.column] = getattr(audit.profile, e.field)
         rows.append(row)
-    extra = set(profiles_by_app) - {r.pseudonym for r in codebook.records}
-    if extra:
-        raise RowMismatch(f"profiles for apps not in codebook: {sorted(extra)}")
     return rows
 
 
-def emit_matrix(
-    codebook: Codebook,
-    findings_by_app: Mapping[str, Mapping[Dim, Finding]],
-    readability_by_app: Mapping[str, ReadabilityResult | None],
-    profiles_by_app: Mapping[str, PrafProfile],
-    fmt: str,
-) -> str:
-    """Corpus matrix in markdown, csv, or json; one row per codebook record."""
-    rows = _matrix_rows(codebook, findings_by_app, readability_by_app, profiles_by_app)
+def emit_matrix(audits: Sequence[AppAudit], fmt: str) -> str:
+    """Corpus matrix in markdown, csv, or json; one row per audit."""
+    rows = _matrix_rows(audits)
     if fmt == "json":
         return json.dumps({"columns": MATRIX_COLUMNS, "rows": rows},
                           indent=2, ensure_ascii=False) + "\n"
@@ -216,17 +158,15 @@ def emit_matrix(
             writer.writerow(out)
         return buf.getvalue()
     if fmt == "markdown":
-        header = ("| App | Use | HIPAA | GDPR | Other | Min | Enc | Access | Consent "
-                  "| Ret | Breach | Ambig | Vague | A11y | 3rd | SMOG | Level "
-                  "| Reg | Sec | Usab | M/R | 3rd | Overall |")
-        sep = "|" + "---|" * 23
+        header = "| " + " | ".join(_MARKDOWN_HEADER) + " |"
+        sep = "|" + "---|" * len(_MARKDOWN_HEADER)
         lines = [header, sep]
         for row in rows:
             cells = [row["pseudonym"], row["category"]]
-            cells += [GLYPHS[Verdict(row[name])] for name, _ in VERDICT_COLUMNS]
+            cells += [GLYPHS[Verdict(row[spec.column])] for spec in DIMENSIONS.values()]
             cells.append("-" if row["smog"] is None else _fmt_grade(row["smog"]))
             cells.append(row["level"] or "-")
-            cells += [str(row[name]) for name, _ in SCORE_COLUMNS]
+            cells += [str(row[e.column]) for e in ELEMENTS]
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown matrix format {fmt!r}")
@@ -246,8 +186,8 @@ def parse_matrix(document: str, fmt: str) -> list[dict]:
             row: dict = dict(raw)
             row["smog"] = float(raw["smog"]) if raw["smog"] else None
             row["level"] = raw["level"] or None
-            for name, _ in SCORE_COLUMNS:
-                row[name] = int(raw[name])
+            for e in ELEMENTS:
+                row[e.column] = int(raw[e.column])
             rows.append(row)
         return rows
     raise ValueError(f"unknown matrix format {fmt!r}")
@@ -265,16 +205,11 @@ def _excerpt(text: str, start: int, end: int) -> str:
     return snippet
 
 
-def emit_app_report(
-    record: AppRecord,
-    findings: Mapping[Dim, Finding],
-    readability: ReadabilityResult | None,
-    profile: PrafProfile,
-    text: str | None = None,
-    reveal_names: bool = False,
-) -> str:
+def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
     """Markdown narrative for one app: scores, verdicts, and the evidence
     excerpts behind them; manual overrides are flagged."""
+    record, findings, readability, profile = (
+        audit.record, audit.findings, audit.readability, audit.profile)
     name = record.pseudonym
     if reveal_names and record.real_name:
         name = f"{record.pseudonym} ({record.real_name})"
@@ -293,25 +228,15 @@ def emit_app_report(
     lines.append(f"Overall risk score: {profile.overall} / 28")
     lines.append("")
 
-    groups = [
-        ("regulatory", [Dim.HIPAA_MENTION, Dim.GDPR_MENTION, Dim.OTHER_REGULATION]),
-        ("security", [Dim.DATA_ENCRYPTION, Dim.ACCESS_CONTROLS, Dim.BREACH_PROTOCOL]),
-        ("usability", [Dim.AMBIGUOUS_LANGUAGE, Dim.VAGUE_COMMITMENTS,
-                       Dim.ACCESSIBILITY_ACCOMMODATIONS]),
-        ("min_retention", [Dim.DATA_MINIMIZATION, Dim.RETENTION_TIME]),
-        ("third_party", [Dim.THIRD_PARTY_SHARING]),
-    ]
-    elements = profile.elements()
-    for key, dims in groups:
-        label, ceiling = ELEMENT_LABELS[key]
-        lines.append(f"## {label} — {elements[key]}/{ceiling}")
-        for dim in dims:
+    for e in ELEMENTS[:-1]:
+        lines.append(f"## {e.label} — {getattr(profile, e.field)}/{e.ceiling}")
+        for dim in dimensions(element=e.field):
             finding = findings[dim]
             flag = " (manual)" if finding.manual else ""
             lines.append(f"- {dim.value}: {finding.verdict.value}{flag}")
-            if text and finding.evidence:
+            if audit.text and finding.evidence:
                 span = finding.evidence[0]
-                lines.append(f'  - "{_excerpt(text, span.start, span.end)}"')
+                lines.append(f'  - "{_excerpt(audit.text, span.start, span.end)}"')
             if finding.detail and "duration_value" in finding.detail:
                 d = finding.detail
                 lines.append(f"  - retention duration: {d['duration_value']} {d['duration_unit']}(s)")
@@ -325,20 +250,6 @@ def emit_app_report(
 
 # --- summary rendering ----------------------------------------------------------
 
-_COUNT_LABELS = [
-    ("hipaa", "HIPAA mentioned"),
-    ("gdpr", "GDPR mentioned"),
-    ("other_regulation", "Other regulations mentioned"),
-    ("no_regulation", "No regulation mentioned"),
-    ("minimization", "Data minimization addressed"),
-    ("encryption", "Encryption addressed"),
-    ("access_controls", "Access controls addressed"),
-    ("retention", "Retention period stated"),
-    ("breach_protocol", "Breach protocol described"),
-    ("third_party", "Third-party sharing disclosed"),
-]
-
-
 def emit_summary_markdown(summary: CorpusSummary) -> str:
     lines = ["# Corpus summary", ""]
     lines.append(f"Apps audited: {summary.total_apps} "
@@ -346,7 +257,10 @@ def emit_summary_markdown(summary: CorpusSummary) -> str:
     lines.append("")
     lines.append("| Signal | Apps | Share |")
     lines.append("|---|---|---|")
-    for key, label in _COUNT_LABELS:
+    counted = [spec.count for spec in DIMENSIONS.values() if spec.count]
+    n_regulations = len(dimensions(kind="regulation"))
+    counted.insert(n_regulations, _NO_REGULATION)
+    for key, label in counted:
         lines.append(f"| {label} | {summary.counts[key]} | {summary.percentages[key]}% |")
     lines.append("")
     lines.append("Note: the no-regulation count covers accessible policies only; "
@@ -354,10 +268,9 @@ def emit_summary_markdown(summary: CorpusSummary) -> str:
     lines.append("")
     lines.append("| Element | Mean | SD (population) |")
     lines.append("|---|---|---|")
-    for name in ("regulatory", "security", "usability", "min_retention", "third_party", "overall"):
-        label = ELEMENT_LABELS.get(name, ("Overall risk", 28))[0]
-        lines.append(f"| {label} | {summary.element_means[name]:.2f} "
-                     f"| {summary.element_sds[name]:.2f} |")
+    for e in ELEMENTS:
+        lines.append(f"| {e.label} | {summary.element_means[e.field]:.2f} "
+                     f"| {summary.element_sds[e.field]:.2f} |")
     lines.append("")
     if summary.smog_mean is not None:
         lines.append(f"Mean SMOG grade (accessible apps): {summary.smog_mean:.2f}")
@@ -385,16 +298,12 @@ def summary_to_json(summary: CorpusSummary) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit_smog_csv(
-    codebook: Codebook,
-    readability_by_app: Mapping[str, ReadabilityResult | None],
-) -> str:
+def emit_smog_csv(audits: Sequence[AppAudit]) -> str:
     """Plot-data export: pseudonym and SMOG grade for each accessible app."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["pseudonym", "smog_grade"])
-    for rec in codebook.records:
-        readability = readability_by_app.get(rec.pseudonym)
-        if readability is not None:
-            writer.writerow([rec.pseudonym, f"{readability.smog_grade:.4f}"])
+    for audit in audits:
+        if audit.readability is not None:
+            writer.writerow([audit.record.pseudonym, f"{audit.readability.smog_grade:.4f}"])
     return buf.getvalue()

@@ -4,6 +4,10 @@ Element scales (accessible policies):
   regulatory 1..4, security 3..6, usability 4..12, minimization/retention 2..4,
   third-party 1..2. An inaccessible policy scores zero on every element.
 The overall risk score is the plain sum of the five elements (max 28).
+
+:data:`ELEMENTS` is the one table of the elements' names, matrix columns,
+labels and ceilings; which dimensions feed each element is recorded in
+``detect.DIMENSIONS``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .detect import DetectionDimension as Dim, Finding, Verdict
+from .detect import DetectionDimension as Dim, Finding, Verdict, dimensions
 from .errors import MissingReadability
 from .readability import ReadabilityResult
 
@@ -32,13 +36,27 @@ class PrafProfile:
             raise ValueError(f"{self.app}: overall is not the sum of elements")
 
     def elements(self) -> dict[str, int]:
-        return {
-            "regulatory": self.regulatory,
-            "security": self.security,
-            "usability": self.usability,
-            "min_retention": self.min_retention,
-            "third_party": self.third_party,
-        }
+        return {e.field: getattr(self, e.field) for e in ELEMENTS[:-1]}
+
+
+@dataclass(frozen=True)
+class Element:
+    field: str    # PrafProfile attribute
+    column: str   # matrix column
+    label: str
+    ceiling: int
+    header: str   # markdown matrix header
+
+
+# The five rubric elements in report order, then the overall score.
+ELEMENTS = (
+    Element("regulatory", "regulatory_compliance", "Regulatory compliance", 4, "Reg"),
+    Element("security", "data_security", "Data security", 6, "Sec"),
+    Element("usability", "usability_accessibility", "Usability & accessibility", 12, "Usab"),
+    Element("min_retention", "minimization_retention", "Minimization & retention", 4, "M/R"),
+    Element("third_party", "third_party", "Third-party sharing", 2, "3rd"),
+    Element("overall", "overall_risk", "Overall risk", 28, "Overall"),
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +86,11 @@ def _present(verdict: Verdict) -> int:
     return 2 if verdict is Verdict.YES else 1
 
 
+def _present_points(inp: ScoringInput, element: str) -> int:
+    """Presence points summed over every dimension that feeds the element."""
+    return sum(_present(inp.verdict(d)) for d in dimensions(element=element))
+
+
 def score_regulatory(inp: ScoringInput) -> int:
     if not inp.accessible:
         return 0
@@ -85,8 +108,7 @@ def score_regulatory(inp: ScoringInput) -> int:
 def score_security(inp: ScoringInput) -> int:
     if not inp.accessible:
         return 0
-    return sum(_present(inp.verdict(d)) for d in
-               (Dim.DATA_ENCRYPTION, Dim.ACCESS_CONTROLS, Dim.BREACH_PROTOCOL))
+    return _present_points(inp, "security")
 
 
 def score_usability(inp: ScoringInput) -> int:
@@ -103,14 +125,13 @@ def score_usability(inp: ScoringInput) -> int:
 def score_min_retention(inp: ScoringInput) -> int:
     if not inp.accessible:
         return 0
-    return (_present(inp.verdict(Dim.DATA_MINIMIZATION))
-            + _present(inp.verdict(Dim.RETENTION_TIME)))
+    return _present_points(inp, "min_retention")
 
 
 def score_third_party(inp: ScoringInput) -> int:
     if not inp.accessible:
         return 0
-    return _present(inp.verdict(Dim.THIRD_PARTY_SHARING))
+    return _present_points(inp, "third_party")
 
 
 def score_app(inp: ScoringInput) -> PrafProfile:

@@ -1,7 +1,9 @@
 """Regression verification against the bundled reference audit.
 
-Rebuilds every risk profile from the codebook annotations plus the reference
-readability grades, then compares each cell against the reference results
+Rebuilds every app's audit from the codebook annotations plus the reference
+readability grades, through the pipeline's own scoring path
+(:func:`praf.pipeline.audit_from_findings` over no detected findings), then
+compares each cell against the reference results
 file. Two cells (A2 usability and the A2 overall that follows from it) are
 carried as documented waivers: for those the rubric value is asserted and the
 reference value is reported as waived rather than failed. Summary statistics
@@ -15,13 +17,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Codebook
-from .detect import DetectionDimension as Dim, Finding
+from .detect import DetectionDimension as Dim, no_findings
 from .errors import MissingFile, PrafError
+from .pipeline import AppAudit, audit_from_findings
 from .readability import ReadabilityResult, band
 from .report import summarize
-from .score import PrafProfile, ScoringInput, score_app
-
-SCORE_FIELDS = ("regulatory", "security", "usability", "min_retention", "third_party", "overall")
+from .score import ELEMENTS
 
 
 @dataclass
@@ -38,7 +39,6 @@ class CellCheck:
 class VerifyReport:
     cells: list[CellCheck] = field(default_factory=list)
     summary_checks: list[CellCheck] = field(default_factory=list)
-    profiles: dict[str, PrafProfile] = field(default_factory=dict)
 
     @property
     def failures(self) -> list[CellCheck]:
@@ -60,12 +60,11 @@ def load_reference(path: str | Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def build_profiles(codebook: Codebook, reference: dict) -> tuple[dict, dict, dict]:
-    """Findings/readability/profiles computed from annotations + reference grades."""
+def reference_audits(codebook: Codebook, reference: dict) -> list[AppAudit]:
+    """One audit per codebook record, scored from its annotations and its
+    reference SMOG grade (None for an inaccessible policy)."""
     smog = {row["pseudonym"]: row["smog"] for row in reference["apps"]}
-    findings_by_app: dict[str, dict[Dim, Finding]] = {}
-    readability_by_app: dict[str, ReadabilityResult | None] = {}
-    profiles: dict[str, PrafProfile] = {}
+    audits = []
     for rec in codebook.records:
         app = rec.pseudonym
         if app not in smog:
@@ -74,16 +73,9 @@ def build_profiles(codebook: Codebook, reference: dict) -> tuple[dict, dict, dic
         missing = [d.value for d in Dim if d not in overrides]
         if missing:
             raise PrafError(f"{app}: annotations missing dimensions {missing}")
-        findings = {dim: Finding(dim, verdict, manual=True)
-                    for dim, verdict in overrides.items()}
-        accessible = smog[app] is not None
-        readability = ReadabilityResult.from_grade(smog[app]) if accessible else None
-        profiles[app] = score_app(ScoringInput(
-            app=app, accessible=accessible, findings=findings, readability=readability,
-        ))
-        findings_by_app[app] = findings
-        readability_by_app[app] = readability
-    return findings_by_app, readability_by_app, profiles
+        readability = None if smog[app] is None else ReadabilityResult.from_grade(smog[app])
+        audits.append(audit_from_findings(rec, no_findings(), overrides, readability))
+    return audits
 
 
 def _check_bands(reference: dict, report: VerifyReport) -> None:
@@ -95,13 +87,13 @@ def _check_bands(reference: dict, report: VerifyReport) -> None:
         report.cells.append(CellCheck(row["pseudonym"], "level", computed, row["level"], status))
 
 
-def _check_scores(reference: dict, profiles: dict[str, PrafProfile],
-                  report: VerifyReport) -> None:
+def _check_scores(reference: dict, audits: list[AppAudit], report: VerifyReport) -> None:
     waivers = {(w["pseudonym"], w["field"]): w for w in reference.get("waivers", [])}
+    profiles = {a.record.pseudonym: a.profile for a in audits}
     for row in reference["apps"]:
         app = row["pseudonym"]
         profile = profiles[app]
-        for fieldname in SCORE_FIELDS:
+        for fieldname in (e.field for e in ELEMENTS):
             computed = getattr(profile, fieldname)
             expected = row["scores"][fieldname]
             waiver = waivers.get((app, fieldname))
@@ -166,12 +158,10 @@ def _check_summary(reference: dict, summary, report: VerifyReport) -> None:
 
 def run_verify(codebook: Codebook, reference: dict) -> VerifyReport:
     report = VerifyReport()
-    findings_by_app, readability_by_app, profiles = build_profiles(codebook, reference)
-    report.profiles = profiles
+    audits = reference_audits(codebook, reference)
     _check_bands(reference, report)
-    _check_scores(reference, profiles, report)
-    summary = summarize(list(profiles.values()), findings_by_app, readability_by_app)
-    _check_summary(reference, summary, report)
+    _check_scores(reference, audits, report)
+    _check_summary(reference, summarize(audits), report)
     return report
 
 

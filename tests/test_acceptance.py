@@ -26,7 +26,7 @@ from praf.ingest import cache_get
 from praf.readability import ReadabilityResult, band, smog_from_counts
 from praf.report import parse_matrix, summarize
 from praf.score import ScoringInput, score_app, score_min_retention, score_security
-from praf.verify import build_profiles, run_verify
+from praf.verify import reference_audits, run_verify
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -78,8 +78,7 @@ def test_criterion_2_band_mapping_exact(reference):
 
 
 def test_criterion_3_summary_statistics(fixture_codebook, reference):
-    findings, readability, profiles = build_profiles(fixture_codebook, reference)
-    summary = summarize(list(profiles.values()), findings, readability)
+    summary = summarize(reference_audits(fixture_codebook, reference))
 
     expected_counts = {
         "hipaa": (7, 25.0),

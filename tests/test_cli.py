@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,26 @@ class TestAudit:
         result = invoke(runner, ["audit", "--rules", str(missing), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "nope-rules.json" in result.output
+
+    def test_out_below_a_file_exit_2(self, runner, tmp_path):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("not a directory")
+        result = invoke(runner, ["audit", "--out", str(blocker / "sub")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "some_file" in result.output
+
+    def test_corrupt_cache_entry_exit_2_names_file(self, runner, tmp_path):
+        cache = tmp_path / "cache"
+        shutil.copytree(FIXTURES / "cache", cache)
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.write_text("{truncated")
+        audit = invoke(runner, ["audit", "--cache", str(cache), "--out", str(tmp_path / "o")])
+        fetch = invoke(runner, ["fetch", "--offline", "--cache", str(cache)])
+        for result in (audit, fetch):
+            assert result.exit_code == 2
+            assert result.output.startswith("error: ")
+            assert entry.name in result.output
 
     def test_missing_doc_and_annotations_exit_3(self, runner, tmp_path):
         cb = tmp_path / "cb.json"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from praf.detect import (
-    DIMENSION_ORDER,
+    DIMENSIONS,
     DetectionDimension as Dim,
     EvidenceSpan,
     Finding,
@@ -178,7 +178,7 @@ class TestOverrides:
 class TestSoundnessAndDeterminism:
     def test_all_dimensions_in_order(self, rules):
         findings = detect_all(SAMPLE, rules)
-        assert [f.dimension for f in findings] == list(DIMENSION_ORDER)
+        assert [f.dimension for f in findings] == list(DIMENSIONS)
 
     def test_evidence_spans_rematch_their_rule(self, rules):
         for text in [SAMPLE, "We may share data occasionally.", "HIPAA. GDPR. CCPA."]:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from praf.errors import EmptyAfterExtraction, IoFailure
+from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
 from praf.ingest import (
     FetchFailure,
     InaccessibleReason,
@@ -220,3 +220,12 @@ class TestCache:
         cache_put(tmp_path, "https://a1.example/", self._doc())
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_corrupt_entry_raises_typed_error_naming_file(self, tmp_path):
+        url = "https://a1.example/privacy"
+        cache_put(tmp_path, url, self._doc())
+        (entry,) = tmp_path.glob("*.json")
+        for body in ["{truncated", "[]", '{"app": "A1"}']:
+            entry.write_text(body)
+            with pytest.raises(CorruptCache, match=entry.name):
+                cache_get(tmp_path, url)

@@ -7,7 +7,7 @@ from praf.cli import main
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import default_rules_path, load_rules
 from praf.ingest import cache_get
-from praf.pipeline import fetch_corpus, missing_inputs, run_audit
+from praf.pipeline import fetch_corpus, run_audit
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -68,13 +68,15 @@ class TestFetchCorpus:
 
 class TestAuditPipeline:
     def test_missing_inputs_lists_unanswerable_apps(self, tmp_path):
-        assert missing_inputs(small_codebook(), tmp_path) == ["A1", "A2", "A3"]
+        result = run_audit(small_codebook(), tmp_path, load_rules(default_rules_path()))
+        assert result.incomplete == ["A1", "A2", "A3"]
+        assert result.audits == []
 
     def test_run_audit_over_fixture_cache(self, fixture_codebook):
         rules = load_rules(default_rules_path())
         result = run_audit(fixture_codebook, FIXTURES / "cache", rules)
         assert len(result.audits) == 28
-        profiles = result.profiles_by_app
+        profiles = {a.record.pseudonym: a.profile for a in result.audits}
         assert profiles["A24"].overall == 0
         assert profiles["A1"].overall == 23
         agreement = result.agreement()
@@ -85,7 +87,8 @@ class TestAuditPipeline:
         rules = load_rules(default_rules_path())
         result = run_audit(fixture_codebook, FIXTURES / "cache", rules)
         levels = {row["pseudonym"]: row["level"] for row in reference["apps"]}
-        for app, readability in result.readability_by_app.items():
+        for audit in result.audits:
+            app, readability = audit.record.pseudonym, audit.readability
             if readability is None:
                 assert levels[app] is None
             else:

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from praf.corpus import AppCategory, AppRecord, Codebook, load_codebook
-from praf.detect import DetectionDimension as Dim, Finding, Verdict
-from praf.errors import EmptyCorpus, RowMismatch
+from praf.corpus import AppCategory, AppRecord, load_codebook
+from praf.detect import DetectionDimension as Dim, Finding, Verdict, no_findings
+from praf.errors import EmptyCorpus
+from praf.pipeline import audit_from_findings
 from praf.readability import ReadabilityResult
 from praf.report import (
     MATRIX_COLUMNS,
@@ -18,7 +19,7 @@ from praf.report import (
     summarize,
     summary_to_json,
 )
-from praf.score import ScoringInput, score_app
+from praf.verify import reference_audits
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -35,30 +36,17 @@ def codebook():
 
 @pytest.fixture(scope="module")
 def corpus(codebook, reference):
-    """Findings, readability and profiles recomputed from the bundled fixtures."""
-    smog = {row["pseudonym"]: row["smog"] for row in reference["apps"]}
-    findings_by_app = {}
-    readability_by_app = {}
-    profiles_by_app = {}
-    for rec in codebook.records:
-        app = rec.pseudonym
-        overrides = codebook.overrides_for(app)
-        findings = {dim: Finding(dim, verdict, manual=True)
-                    for dim, verdict in overrides.items()}
-        accessible = smog[app] is not None
-        readability = ReadabilityResult.from_grade(smog[app]) if accessible else None
-        inp = ScoringInput(app=app, accessible=accessible, findings=findings,
-                           readability=readability)
-        findings_by_app[app] = findings
-        readability_by_app[app] = readability
-        profiles_by_app[app] = score_app(inp)
-    return findings_by_app, readability_by_app, profiles_by_app
+    """Audits recomputed from the bundled fixtures, as verify builds them."""
+    return reference_audits(codebook, reference)
+
+
+def audit_of(record, findings, readability, text=None):
+    return audit_from_findings(record, list(findings.values()), {}, readability, text)
 
 
 class TestSummarize:
     def test_fixture_counts(self, corpus):
-        findings, readability, profiles = corpus
-        summary = summarize(list(profiles.values()), findings, readability)
+        summary = summarize(corpus)
         assert summary.counts["hipaa"] == 7
         assert summary.percentages["hipaa"] == 25.0
         assert summary.counts["gdpr"] == 5
@@ -70,39 +58,35 @@ class TestSummarize:
         assert round(100 - summary.percentages["breach_protocol"], 1) == 78.6
 
     def test_no_regulation_excludes_inaccessible(self, corpus):
-        findings, readability, profiles = corpus
-        summary = summarize(list(profiles.values()), findings, readability)
+        summary = summarize(corpus)
         assert summary.counts["no_regulation"] == 4
         assert summary.accessible_apps == 27
 
     def test_permutation_invariant(self, corpus):
-        findings, readability, profiles = corpus
-        ordered = list(profiles.values())
+        ordered = list(corpus)
         shuffled = ordered[:]
         random.Random(5).shuffle(shuffled)
-        a = summarize(ordered, findings, readability)
-        b = summarize(shuffled, findings, readability)
+        a = summarize(ordered)
+        b = summarize(shuffled)
         assert a.counts == b.counts
         assert a.element_means == b.element_means
         assert a.overall_min == b.overall_min
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            summarize([], {}, {})
+            summarize([])
 
     def test_single_zero_profile(self):
-        findings = {"A1": {dim: Finding(dim, Verdict.NO) for dim in Dim}}
-        profile = score_app(ScoringInput(app="A1", accessible=False, findings=findings["A1"]))
-        summary = summarize([profile], findings, {"A1": None})
+        audit = audit_from_findings(AppRecord("A1", AppCategory.TELEHEALTH), no_findings(), {}, None)
+        summary = summarize([audit])
         assert all(v == 0 for v in summary.counts.values())
         assert summary.element_means["overall"] == 0
         assert summary.smog_mean is None
 
 
 class TestMatrix:
-    def test_markdown_a1_row(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        doc = emit_matrix(codebook, findings, readability, profiles, "markdown")
+    def test_markdown_a1_row(self, corpus):
+        doc = emit_matrix(corpus, "markdown")
         row = next(line for line in doc.splitlines() if line.startswith("| A1 "))
         assert row == (
             "| A1 | Telehealth | ● | ● | − | ● | ● | ● "
@@ -110,57 +94,43 @@ class TestMatrix:
             "| 13 | VD | 4 | 6 | 7 | 4 | 2 | 23 |"
         )
 
-    def test_markdown_inaccessible_row(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        doc = emit_matrix(codebook, findings, readability, profiles, "markdown")
+    def test_markdown_inaccessible_row(self, corpus):
+        doc = emit_matrix(corpus, "markdown")
         row = next(line for line in doc.splitlines() if line.startswith("| A24 "))
         assert " - | - |" in row
         assert row.rstrip().endswith("| 0 | 0 | 0 | 0 | 0 | 0 |")
 
-    def test_csv_shape(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        doc = emit_matrix(codebook, findings, readability, profiles, "csv")
+    def test_csv_shape(self, corpus):
+        doc = emit_matrix(corpus, "csv")
         lines = doc.strip().split("\n")
         assert lines[0] == ",".join(MATRIX_COLUMNS)
         assert len(lines) == 29
 
-    def test_csv_round_trip(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        doc = emit_matrix(codebook, findings, readability, profiles, "csv")
+    def test_csv_round_trip(self, corpus):
+        doc = emit_matrix(corpus, "csv")
         rows = parse_matrix(doc, "csv")
         assert len(rows) == 28
-        for row, rec in zip(rows, codebook.records):
-            app = rec.pseudonym
-            assert row["pseudonym"] == app
+        for row, audit in zip(rows, corpus):
+            assert row["pseudonym"] == audit.record.pseudonym
             for name, dim in [("hipaa", Dim.HIPAA_MENTION), ("breach_protocol", Dim.BREACH_PROTOCOL)]:
-                assert row[name] == findings[app][dim].verdict.value
-            assert row["overall_risk"] == profiles[app].overall
-            expected_smog = (None if readability[app] is None
-                             else round(readability[app].smog_grade, 1))
+                assert row[name] == audit.findings[dim].verdict.value
+            assert row["overall_risk"] == audit.profile.overall
+            expected_smog = (None if audit.readability is None
+                             else round(audit.readability.smog_grade, 1))
             assert row["smog"] == expected_smog
 
     def test_json_round_trip(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        doc = emit_matrix(codebook, findings, readability, profiles, "json")
+        doc = emit_matrix(corpus, "json")
         rows = parse_matrix(doc, "json")
         assert [r["pseudonym"] for r in rows] == [r.pseudonym for r in codebook.records]
-        for row in rows:
-            app = row["pseudonym"]
+        for row, audit in zip(rows, corpus):
             for name, dim in [("gdpr", Dim.GDPR_MENTION), ("retention_time", Dim.RETENTION_TIME)]:
-                assert row[name] == findings[app][dim].verdict.value
-            assert row["data_security"] == profiles[app].security
+                assert row[name] == audit.findings[dim].verdict.value
+            assert row["data_security"] == audit.profile.security
 
     def test_empty_corpus_header_only(self):
-        empty = Codebook()
-        doc = emit_matrix(empty, {}, {}, {}, "csv")
+        doc = emit_matrix([], "csv")
         assert doc.strip() == ",".join(MATRIX_COLUMNS)
-
-    def test_row_mismatch(self, codebook, corpus):
-        findings, readability, profiles = corpus
-        partial = dict(profiles)
-        del partial["A1"]
-        with pytest.raises(RowMismatch):
-            emit_matrix(codebook, findings, readability, partial, "csv")
 
 
 class TestAppReport:
@@ -178,16 +148,13 @@ class TestAppReport:
         record = AppRecord("A7", AppCategory.SENIOR_CARE_CAREGIVER_SUPPORT,
                            policy_url="https://a7.example/privacy")
         readability = ReadabilityResult.from_grade(12.4)
-        profile = score_app(ScoringInput(app="A7", accessible=True,
-                                         findings=findings, readability=readability))
-        doc = emit_app_report(record, findings, readability, profile, text=text)
+        doc = emit_app_report(audit_of(record, findings, readability, text))
         assert quote in doc
 
     def test_inaccessible_report(self):
         findings = {dim: Finding(dim, Verdict.NO) for dim in Dim}
         record = AppRecord("A24", AppCategory.FITNESS_SUPPORT)
-        profile = score_app(ScoringInput(app="A24", accessible=False, findings=findings))
-        doc = emit_app_report(record, findings, None, profile)
+        doc = emit_app_report(audit_of(record, findings, None))
         assert "inaccessible" in doc
         assert "0 / 28" in doc
 
@@ -196,19 +163,15 @@ class TestAppReport:
         findings[Dim.DATA_ENCRYPTION] = Finding(Dim.DATA_ENCRYPTION, Verdict.YES, manual=True)
         record = AppRecord("A1", AppCategory.TELEHEALTH, real_name="Acme Telecare")
         readability = ReadabilityResult.from_grade(13.0)
-        profile = score_app(ScoringInput(app="A1", accessible=True,
-                                         findings=findings, readability=readability))
-        doc = emit_app_report(record, findings, readability, profile)
+        doc = emit_app_report(audit_of(record, findings, readability))
         assert "data_encryption: yes (manual)" in doc
 
     def test_redaction_default_and_reveal(self):
         findings = {dim: Finding(dim, Verdict.NO) for dim in Dim}
         record = AppRecord("A1", AppCategory.TELEHEALTH, real_name="Acme Telecare")
-        readability = ReadabilityResult.from_grade(13.0)
-        profile = score_app(ScoringInput(app="A1", accessible=True,
-                                         findings=findings, readability=readability))
-        hidden = emit_app_report(record, findings, readability, profile)
-        shown = emit_app_report(record, findings, readability, profile, reveal_names=True)
+        audit = audit_of(record, findings, ReadabilityResult.from_grade(13.0))
+        hidden = emit_app_report(audit)
+        shown = emit_app_report(audit, reveal_names=True)
         assert "Acme Telecare" not in hidden
         assert "Acme Telecare" in shown
 
@@ -221,17 +184,14 @@ class TestAppReport:
         )
         record = AppRecord("A2", AppCategory.TELEHEALTH)
         readability = ReadabilityResult.from_grade(13.2)
-        profile = score_app(ScoringInput(app="A2", accessible=True,
-                                         findings=findings, readability=readability))
-        doc = emit_app_report(record, findings, readability, profile, text=text)
+        doc = emit_app_report(audit_of(record, findings, readability, text))
         quoted = [l for l in doc.splitlines() if l.strip().startswith('- "')]
         assert quoted and all(len(l) < 240 for l in quoted)
 
 
 class TestSummaryRendering:
     def test_markdown_and_json(self, corpus):
-        findings, readability, profiles = corpus
-        summary = summarize(list(profiles.values()), findings, readability)
+        summary = summarize(corpus)
         md = emit_summary_markdown(summary)
         assert "HIPAA mentioned | 7 | 25.0%" in md
         payload = json.loads(summary_to_json(summary))
@@ -239,9 +199,8 @@ class TestSummaryRendering:
         assert payload["overall_min"] == {"value": 15, "apps": ["A4", "A22"]}
         assert payload["overall_max"] == {"value": 24, "apps": ["A18", "A23"]}
 
-    def test_smog_csv(self, codebook, corpus):
-        _, readability, _ = corpus
-        doc = emit_smog_csv(codebook, readability)
+    def test_smog_csv(self, corpus):
+        doc = emit_smog_csv(corpus)
         lines = doc.strip().split("\n")
         assert lines[0] == "pseudonym,smog_grade"
         assert len(lines) == 28  # header + 27 accessible apps
