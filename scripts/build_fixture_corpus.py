@@ -30,9 +30,9 @@ from praf.readability import (
     SMOG_INTERCEPT,
     SMOG_SLOPE,
     ReadabilityBand,
+    analyze,
     band,
     count_polysyllables,
-    sentence_spans,
     smog_grade,
 )
 
@@ -392,13 +392,13 @@ def build_app_page(app: str, verdicts: dict, grade: float, level: str) -> str:
 
 
 def validate(app: str, html: str, verdicts: dict, level: str) -> bool:
-    text = extract_text(html.encode(), "text/html")
+    doc = analyze(extract_text(html.encode(), "text/html"))
     rules = load_rules(default_rules_path())
-    findings = {f.dimension: f for f in detect_all(text, rules)}
+    findings = {f.dimension: f for f in detect_all(doc, rules)}
     for dim in DIMENSIONS:
         if findings[dim].verdict.value != verdicts[dim]:
             return False
-    result = smog_grade(text)
+    result = smog_grade(doc)
     if result.band.code != level:
         return False
     return True
@@ -435,8 +435,7 @@ def main() -> None:
         )
         cache_put(CACHE_DIR, url, doc)
         grade_errors.append(abs(result.smog_grade - row["smog"]))
-        n_sent = len(sentence_spans(text))
-        print(f"{app}: {n_sent} sentences, poly {result.polysyllable_count}, "
+        print(f"{app}: {result.sentence_count} sentences, poly {result.polysyllable_count}, "
               f"smog {result.smog_grade:.2f} (ref {row['smog']}, band {result.band.code})")
     if grade_errors:
         print(f"mean |smog - reference| = {sum(grade_errors)/len(grade_errors):.3f}")

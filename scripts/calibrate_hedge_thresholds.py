@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from praf.corpus import load_codebook
 from praf.detect import DetectionDimension as Dim, default_rules_path, detect_ambiguity, detect_vague_commitments, load_rules
 from praf.ingest import cache_get
+from praf.readability import analyze
 
 FIXTURES = ROOT / "src" / "praf" / "data" / "fixtures"
 
@@ -26,12 +27,13 @@ def main() -> None:
     rules = load_rules(default_rules_path())
     rows = []
     for rec in codebook.records:
-        doc = cache_get(FIXTURES / "cache", rec.policy_url)
-        if doc is None or not doc.accessible:
+        cached = cache_get(FIXTURES / "cache", rec.policy_url)
+        if cached is None or not cached.accessible:
             continue
         marks = codebook.overrides_for(rec.pseudonym)
-        amb = detect_ambiguity(doc.text, rules)
-        vague = detect_vague_commitments(doc.text, rules)
+        doc = analyze(cached.text)
+        amb = detect_ambiguity(doc, rules)
+        vague = detect_vague_commitments(doc, rules)
         rows.append((
             rec.pseudonym,
             amb.detail["density"], marks[Dim.AMBIGUOUS_LANGUAGE].value, amb.verdict.value,

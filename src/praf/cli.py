@@ -116,7 +116,8 @@ def fetch(codebook, cache, offline, jobs, respect_robots):
 @click.option("--format", "formats", multiple=True,
               type=click.Choice(["markdown", "csv", "json"]),
               help="Matrix formats to emit (repeatable; default: all three).")
-@click.option("--jobs", type=int, default=pipeline.DEFAULT_JOBS, show_default=True)
+@click.option("--jobs", type=int, default=None, hidden=True,
+              help="Accepted for compatibility and ignored; audit runs serially.")
 @click.option("--reveal-names", is_flag=True,
               help="Include real app names in per-app reports (redacted by default).")
 def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
@@ -129,7 +130,7 @@ def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
         _fail(EXIT_CONFIG, str(exc))
     cache_dir = _resolve_cache(cache, writable=False)
     try:
-        result = pipeline.run_audit(cb, cache_dir, ruleset, jobs=jobs)
+        result = pipeline.run_audit(cb, cache_dir, ruleset)
     except PrafError as exc:
         _fail(EXIT_CONFIG, str(exc))
     if result.incomplete:

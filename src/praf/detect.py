@@ -7,8 +7,10 @@ Human annotations override detector verdicts via :func:`apply_overrides`.
 Rule files map each dimension to ``{"strong": [...], "weak": [...],
 "thresholds": {...}}``. Patterns are case-insensitive phrases; a trailing
 ``*`` on a word matches any suffix ("encrypt*" hits "encrypted"), and
-``a ~ b`` requires both sub-patterns within one sentence. For the language
-detectors, ``ambiguous_language.strong`` holds the hedge terms and
+``a ~ b`` requires both sub-patterns within one sentence. Each side also
+keeps a lowercase literal that all of its matches contain; a pattern with a
+literal absent from a document's folded text is never run on it. For the
+language detectors, ``ambiguous_language.strong`` holds the hedge terms and
 ``vague_commitments`` uses ``strong`` for generic assurances with ``weak``
 for the concrete-mechanism terms that defuse them.
 
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import MalformedRules, MissingFile, NoSentences, UnknownDimension, UnsupportedDimension
-from .readability import sentence_spans
+from .readability import AnalyzedText, analyze
 
 
 class Verdict(Enum):
@@ -158,12 +160,18 @@ class CompiledPattern:
     rule_id: str
     regex: re.Pattern | None            # plain phrase
     parts: tuple[re.Pattern, ...] = ()  # proximity sub-patterns (all in one sentence)
+    needles: tuple[str, ...] = ()       # per side, a literal every match of it contains
 
     def matches_in(self, text: str) -> bool:
         """True when the pattern re-matches inside the given text slice."""
         if self.regex is not None:
             return self.regex.search(text) is not None
         return all(p.search(text) for p in self.parts)
+
+    def possible_in(self, folded: str) -> bool:
+        """False only when the pattern cannot match a text whose ``FOLD`` copy
+        is ``folded``: some side's literal does not occur in it."""
+        return all(n in folded for n in self.needles)
 
 
 def _phrase_regex(phrase: str) -> re.Pattern:
@@ -179,14 +187,25 @@ def _phrase_regex(phrase: str) -> re.Pattern:
     return re.compile(r"\b" + r"\s+".join(pieces) + r"\b", re.IGNORECASE)
 
 
+def _needle(phrase: str) -> str:
+    """The phrase's longest ASCII word without its ``*``, lowercased. Every
+    match of the phrase's regex contains it in the ``FOLD`` copy of the text,
+    which is exact only for ASCII; a phrase with no ASCII word gives ""."""
+    literals = [w.removesuffix("*").lower() for w in phrase.split() if w.isascii()]
+    return max(literals, key=len, default="")
+
+
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
     try:
         if "~" in raw:
-            parts = tuple(_phrase_regex(p.strip()) for p in raw.split("~"))
+            sides = [p.strip() for p in raw.split("~")]
+            parts = tuple(_phrase_regex(side) for side in sides)
             if len(parts) < 2:
                 raise MalformedRules(f"proximity pattern needs two sides: {raw!r}")
-            return CompiledPattern(raw=raw, rule_id=rule_id, regex=None, parts=parts)
-        return CompiledPattern(raw=raw, rule_id=rule_id, regex=_phrase_regex(raw))
+            return CompiledPattern(raw=raw, rule_id=rule_id, regex=None, parts=parts,
+                                   needles=tuple(_needle(side) for side in sides))
+        return CompiledPattern(raw=raw, rule_id=rule_id, regex=_phrase_regex(raw),
+                               needles=(_needle(raw),))
     except re.error as exc:
         raise MalformedRules(f"pattern {raw!r} does not compile: {exc}") from exc
 
@@ -251,16 +270,18 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
-def _pattern_spans(pattern: CompiledPattern, text: str,
-                   sentences: list[tuple[int, int]]) -> list[EvidenceSpan]:
+def _pattern_spans(pattern: CompiledPattern, doc: AnalyzedText) -> list[EvidenceSpan]:
     """All evidence spans for one pattern; proximity patterns yield the covering
     span of their sub-matches within each sentence where all sides occur."""
     spans: list[EvidenceSpan] = []
+    if not pattern.possible_in(doc.folded):
+        return spans
+    text = doc.text
     if pattern.regex is not None:
         for m in pattern.regex.finditer(text):
             spans.append(EvidenceSpan(m.start(), m.end(), pattern.rule_id))
         return spans
-    for a, b in sentences:
+    for a, b in doc.sentence_spans:
         segment = text[a:b]
         hits = [p.search(segment) for p in pattern.parts]
         if all(hits):
@@ -270,12 +291,12 @@ def _pattern_spans(pattern: CompiledPattern, text: str,
     return spans
 
 
-def _collect(patterns: tuple[CompiledPattern, ...], text: str,
-             sentences: list[tuple[int, int]]) -> tuple[tuple[EvidenceSpan, ...], list[str]]:
+def _collect(patterns: tuple[CompiledPattern, ...],
+             doc: AnalyzedText) -> tuple[tuple[EvidenceSpan, ...], list[str]]:
     spans: list[EvidenceSpan] = []
     matched: list[str] = []
     for pat in patterns:
-        found = _pattern_spans(pat, text, sentences)
+        found = _pattern_spans(pat, doc)
         if found:
             matched.append(pat.raw)
             spans.extend(found)
@@ -283,13 +304,13 @@ def _collect(patterns: tuple[CompiledPattern, ...], text: str,
     return tuple(spans), matched
 
 
-def detect_regulations(text: str, rules: RuleSet) -> list[Finding]:
+def detect_regulations(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
     """Findings for the three regulation dimensions, in column order."""
-    sentences = sentence_spans(text)
+    doc = analyze(text)
     findings = []
     for dim in dimensions(kind="regulation"):
         dr = rules.rules_for(dim)
-        strong_spans, matched = _collect(dr.strong, text, sentences)
+        strong_spans, matched = _collect(dr.strong, doc)
         if strong_spans:
             detail = None
             if dim is DetectionDimension.OTHER_REGULATION:
@@ -297,7 +318,7 @@ def detect_regulations(text: str, rules: RuleSet) -> list[Finding]:
                 detail = {"regulations": names}
             findings.append(Finding(dim, Verdict.YES, strong_spans, detail))
             continue
-        weak_spans, _ = _collect(dr.weak, text, sentences)
+        weak_spans, _ = _collect(dr.weak, doc)
         if weak_spans:
             findings.append(Finding(dim, Verdict.PARTIAL, weak_spans))
         else:
@@ -309,12 +330,11 @@ _DURATION_RE = re.compile(r"\b(\d+)\s*(day|week|month|year)s?\b", re.IGNORECASE)
 _DAYS_PER_UNIT = {"day": 1, "week": 7, "month": 30, "year": 365}
 
 
-def _retention_detail(text: str, spans: tuple[EvidenceSpan, ...],
-                      sentences: list[tuple[int, int]]) -> Mapping | None:
+def _retention_detail(doc: AnalyzedText, spans: tuple[EvidenceSpan, ...]) -> Mapping | None:
     """Duration found in any sentence that holds a retention match."""
-    for a, b in sentences:
+    for a, b in doc.sentence_spans:
         if any(a <= s.start < b for s in spans):
-            m = _DURATION_RE.search(text[a:b])
+            m = _DURATION_RE.search(doc.text[a:b])
             if m:
                 value = int(m.group(1))
                 unit = m.group(2).lower()
@@ -326,7 +346,8 @@ def _retention_detail(text: str, spans: tuple[EvidenceSpan, ...],
     return None
 
 
-def detect_principle(text: str, dimension: DetectionDimension, rules: RuleSet) -> Finding:
+def detect_principle(text: str | AnalyzedText, dimension: DetectionDimension,
+                     rules: RuleSet) -> Finding:
     """Detect one of the eight principle dimensions.
 
     Strong rules assert an explicit commitment (yes); weak rules alone read as
@@ -337,32 +358,34 @@ def detect_principle(text: str, dimension: DetectionDimension, rules: RuleSet) -
         raise UnsupportedDimension(
             f"{dimension.value} is not a principle dimension; use its dedicated detector"
         )
-    sentences = sentence_spans(text)
+    doc = analyze(text)
     dr = rules.rules_for(dimension)
-    strong_spans, _ = _collect(dr.strong, text, sentences)
+    strong_spans, _ = _collect(dr.strong, doc)
     if strong_spans:
         detail = None
         if dimension is DetectionDimension.RETENTION_TIME:
-            detail = _retention_detail(text, strong_spans, sentences)
+            detail = _retention_detail(doc, strong_spans)
         return Finding(dimension, Verdict.YES, strong_spans, detail)
-    weak_spans, _ = _collect(dr.weak, text, sentences)
+    weak_spans, _ = _collect(dr.weak, doc)
     if weak_spans:
         return Finding(dimension, Verdict.PARTIAL, weak_spans)
     return Finding(dimension, Verdict.NO)
 
 
-def detect_ambiguity(text: str, rules: RuleSet) -> Finding:
+def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     """Hedge density over sentences; evidence spans are the hedged sentences."""
-    sentences = sentence_spans(text)
+    doc = analyze(text)
+    sentences = doc.sentence_spans
     if not sentences:
         raise NoSentences("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
     partial_at = float(dr.thresholds.get("partial_density", 0.15))
     yes_at = float(dr.thresholds.get("yes_density", 0.35))
+    hedges = [p for p in dr.strong if p.possible_in(doc.folded)]
     spans: list[EvidenceSpan] = []
     for a, b in sentences:
-        segment = text[a:b]
-        for pat in dr.strong:
+        segment = doc.text[a:b]
+        for pat in hedges:
             if pat.matches_in(segment):
                 spans.append(EvidenceSpan(a, b, pat.rule_id))
                 break
@@ -376,18 +399,20 @@ def detect_ambiguity(text: str, rules: RuleSet) -> Finding:
     return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, Verdict.NO, (), detail)
 
 
-def detect_vague_commitments(text: str, rules: RuleSet) -> Finding:
+def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     """Generic security assurances with no concrete mechanism in the same sentence."""
-    sentences = sentence_spans(text)
+    doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
     yes_at = int(dr.thresholds.get("yes_sentences", 3))
+    claims = [p for p in dr.strong if p.possible_in(doc.folded)]
+    mechanisms = [p for p in dr.weak if p.possible_in(doc.folded)]
     spans: list[EvidenceSpan] = []
-    for a, b in sentences:
-        segment = text[a:b]
-        hit = next((p for p in dr.strong if p.matches_in(segment)), None)
+    for a, b in doc.sentence_spans:
+        segment = doc.text[a:b]
+        hit = next((p for p in claims if p.matches_in(segment)), None)
         if hit is None:
             continue
-        if any(mech.matches_in(segment) for mech in dr.weak):
+        if any(mech.matches_in(segment) for mech in mechanisms):
             continue  # names a concrete safeguard, not vague
         spans.append(EvidenceSpan(a, b, hit.rule_id))
     detail = {"vague_sentences": len(spans)}
@@ -398,13 +423,14 @@ def detect_vague_commitments(text: str, rules: RuleSet) -> Finding:
     return Finding(DetectionDimension.VAGUE_COMMITMENTS, Verdict.NO, (), detail)
 
 
-def detect_all(text: str, rules: RuleSet) -> list[Finding]:
-    """All thirteen findings in table column order."""
-    by_dim = {f.dimension: f for f in detect_regulations(text, rules)}
+def detect_all(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
+    """All thirteen findings in table column order, from one analysis of the text."""
+    doc = analyze(text)
+    by_dim = {f.dimension: f for f in detect_regulations(doc, rules)}
     for dim in dimensions(kind="principle"):
-        by_dim[dim] = detect_principle(text, dim, rules)
-    by_dim[DetectionDimension.AMBIGUOUS_LANGUAGE] = detect_ambiguity(text, rules)
-    by_dim[DetectionDimension.VAGUE_COMMITMENTS] = detect_vague_commitments(text, rules)
+        by_dim[dim] = detect_principle(doc, dim, rules)
+    by_dim[DetectionDimension.AMBIGUOUS_LANGUAGE] = detect_ambiguity(doc, rules)
+    by_dim[DetectionDimension.VAGUE_COMMITMENTS] = detect_vague_commitments(doc, rules)
     return [by_dim[dim] for dim in DIMENSIONS]
 
 

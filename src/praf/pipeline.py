@@ -1,11 +1,13 @@
 """Pipeline orchestration shared by the CLI commands.
 
 fetch: resolve each codebook record to a cached PolicyDocument (live HTTP or
-cache/offline replay). audit: detect, compute readability, then apply the
-annotation overrides and score in :func:`audit_from_findings`, which verify
-shares to score the reference annotations. Per-app work runs on a
-bounded thread pool; results are always collected in codebook order so output
-is deterministic.
+cache/offline replay) on a bounded thread pool, since fetching waits on I/O.
+audit: analyse each policy once, detect and compute readability from that one
+analysis, then apply the annotation overrides and score in
+:func:`audit_from_findings`, which verify shares to score the reference
+annotations. Audit is CPU-bound pure Python, so it runs serially: threads
+would only take turns under the interpreter lock. Results of both are in
+codebook order so output is deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .ingest import (
     document_from_fetch,
     fetch_policy,
 )
-from .readability import ReadabilityResult, smog_grade
+from .readability import ReadabilityResult, analyze, smog_grade
 from .score import PrafProfile, ScoringInput, score_app
 
 DEFAULT_JOBS = 4
@@ -138,8 +140,9 @@ class AuditResult:
 def audit_app(record: AppRecord, document: PolicyDocument | None,
               overrides: dict[Dim, Verdict], rules: RuleSet) -> AppAudit:
     if document is not None and document.accessible:
-        return audit_from_findings(record, detect_all(document.text, rules), overrides,
-                                   smog_grade(document.text), document.text)
+        doc = analyze(document.text)
+        return audit_from_findings(record, detect_all(doc, rules), overrides,
+                                   smog_grade(doc), document.text)
     return audit_from_findings(record, no_findings(), overrides, None)
 
 
@@ -165,8 +168,7 @@ def audit_from_findings(record: AppRecord, detected: list[Finding],
     )
 
 
-def run_audit(codebook: Codebook, cache_dir: Path, rules: RuleSet,
-              jobs: int = DEFAULT_JOBS) -> AuditResult:
+def run_audit(codebook: Codebook, cache_dir: Path, rules: RuleSet) -> AuditResult:
     """Audit every record from its cached document and annotations. When an
     app has neither a cached document nor complete annotations, nothing is
     audited and those apps are listed in ``incomplete``."""
@@ -178,10 +180,7 @@ def run_audit(codebook: Codebook, cache_dir: Path, rules: RuleSet,
                   if doc is None and len(codebook.overrides_for(app)) < len(Dim)]
     if incomplete or not codebook.records:
         return AuditResult(audits=[], incomplete=incomplete)
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [
-            pool.submit(audit_app, rec, docs[rec.pseudonym],
-                        codebook.overrides_for(rec.pseudonym), rules)
-            for rec in codebook.records
-        ]
-        return AuditResult(audits=[f.result() for f in futures])
+    return AuditResult(audits=[
+        audit_app(rec, docs[rec.pseudonym], codebook.overrides_for(rec.pseudonym), rules)
+        for rec in codebook.records
+    ])

@@ -1,5 +1,9 @@
 """SMOG readability: sentence segmentation, syllable counting, grade, bands, points.
 
+:func:`analyze` segments a text once; the detectors and :func:`smog_grade`
+accept its :class:`AnalyzedText` in place of the text, so every layer that
+reads a policy shares one segmentation.
+
 The grade uses the standard SMOG regression
 
     grade = 1.0430 * sqrt(polysyllables * 30 / sentences) + 3.1291
@@ -190,6 +194,36 @@ def segment_sentences(text: str) -> list[str]:
     return [text[a:b] for a, b in sentence_spans(text)]
 
 
+# Case fold that keeps every offset: A-Z to a-z, plus the only other code
+# points that re.IGNORECASE equates with an ASCII letter. A character matches
+# an ASCII letter case-insensitively only if FOLD maps it to that letter, so a
+# lowercase ASCII literal absent from the folded text cannot be matched there.
+# tests/test_detect.py checks this over every code point of the running Python.
+FOLD = {
+    **{c: c + 32 for c in range(ord("A"), ord("Z") + 1)},
+    0x130: ord("i"),   # LATIN CAPITAL LETTER I WITH DOT ABOVE
+    0x131: ord("i"),   # LATIN SMALL LETTER DOTLESS I
+    0x17F: ord("s"),   # LATIN SMALL LETTER LONG S
+    0x212A: ord("k"),  # KELVIN SIGN
+}
+
+
+@dataclass(frozen=True)
+class AnalyzedText:
+    """A text with its sentence spans and its :data:`FOLD` copy, computed once."""
+
+    text: str
+    sentence_spans: tuple[tuple[int, int], ...]
+    folded: str
+
+
+def analyze(text: str | AnalyzedText) -> AnalyzedText:
+    """Segment and fold ``text``; an :class:`AnalyzedText` is returned as is."""
+    if isinstance(text, AnalyzedText):
+        return text
+    return AnalyzedText(text, tuple(sentence_spans(text)), text.translate(FOLD))
+
+
 # --- syllables --------------------------------------------------------------
 
 _VOWELS = set("aeiouy")
@@ -228,12 +262,13 @@ def count_polysyllables(text: str) -> int:
     return sum(1 for w in words(text) if count_syllables(w) >= 3)
 
 
-def smog_grade(text: str) -> ReadabilityResult:
-    """Full SMOG computation over plain text."""
-    sentences = sentence_spans(text)
+def smog_grade(text: str | AnalyzedText) -> ReadabilityResult:
+    """Full SMOG computation over plain or analysed text."""
+    doc = analyze(text)
+    sentences = doc.sentence_spans
     if not sentences:
         raise NoSentences("no sentences in text")
-    poly = count_polysyllables(text)
+    poly = count_polysyllables(doc.text)
     grade = smog_from_counts(len(sentences), poly)
     b = band(grade)
     return ReadabilityResult(

@@ -67,6 +67,16 @@ class TestAudit:
         run = json.loads((out / "run.json").read_text())
         assert run["detector_agreement"]["rate"] == 1.0
 
+    def test_jobs_is_accepted_and_ignored(self, runner, tmp_path):
+        outputs = []
+        for extra in ([], ["--jobs", "4"]):
+            out = tmp_path / f"out{len(extra)}"
+            result = invoke(runner, ["audit", "--format", "json", "--out", str(out), *extra])
+            assert result.exit_code == 0
+            outputs.append((out / "matrix.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "--jobs" not in invoke(runner, ["audit", "--help"]).output
+
     def test_missing_rules_exit_2_names_path(self, runner, tmp_path):
         missing = tmp_path / "nope-rules.json"
         result = invoke(runner, ["audit", "--rules", str(missing), "--out", str(tmp_path / "o")])

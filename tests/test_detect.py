@@ -1,14 +1,20 @@
+import dataclasses
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from praf.detect import (
     DIMENSIONS,
     DetectionDimension as Dim,
     EvidenceSpan,
     Finding,
+    RuleSet,
     Verdict,
     apply_overrides,
+    compile_pattern,
     default_rules_path,
     detect_all,
     detect_ambiguity,
@@ -19,6 +25,7 @@ from praf.detect import (
     no_findings,
 )
 from praf.errors import MalformedRules, MissingFile, UnknownDimension, UnsupportedDimension
+from praf.readability import FOLD, analyze
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +249,101 @@ class TestRuleLoading:
         findings = no_findings()
         assert len(findings) == 13
         assert all(f.verdict is Verdict.NO for f in findings)
+
+
+def _all_patterns(ruleset):
+    return [p for dr in ruleset.by_dimension.values() for p in dr.strong + dr.weak]
+
+
+def _without_prefilter(ruleset) -> RuleSet:
+    """The same rules with no literals, so every pattern runs its regex."""
+    def strip(patterns):
+        return tuple(dataclasses.replace(p, needles=()) for p in patterns)
+    return RuleSet({dim: dataclasses.replace(dr, strong=strip(dr.strong), weak=strip(dr.weak))
+                    for dim, dr in ruleset.by_dimension.items()})
+
+
+_RULES = load_rules(default_rules_path())
+_SPECIAL = ["\u0130", "\u0131", "\u017f", "\u212a"]
+_RULE_SIDES = sorted({tuple(side.split())
+                      for p in _all_patterns(_RULES) for side in p.raw.split("~")})
+_RULE_WORDS = sorted({w.removesuffix("*") for side in _RULE_SIDES for w in side})
+
+
+def _variants(word: str):
+    """The word as written, in other cases, with a suffix, and with letters
+    swapped for the non-ASCII characters re.IGNORECASE equates with them."""
+    return st.sampled_from([
+        word, word.upper(), word.title(), word + "ed",
+        word.replace("i", "\u0131"), word.upper().replace("I", "\u0130"),
+        word.replace("s", "\u017f"), word.replace("k", "\u212a"),
+    ])
+
+
+def _phrase(words):
+    """A rule's words in a row, each a variant, split by any whitespace."""
+    variants = st.tuples(*(_variants(w.removesuffix("*")) for w in words))
+    gaps = st.lists(st.sampled_from([" ", "  ", "\n", "\t"]),
+                    min_size=len(words), max_size=len(words))
+    return st.builds(lambda ws, gs: "".join(w + g for w, g in zip(ws, gs)), variants, gaps)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(_RULE_WORDS).flatmap(_variants),
+    st.sampled_from(_RULE_SIDES).flatmap(_phrase),
+    st.sampled_from(_SPECIAL + [".", "!", "?", "\"", "'", "\u201d", "\n", "e.g.", "3.5", "J."]),
+)
+_SEPARATORS = st.sampled_from([" ", " ", "  ", "\n", ". ", "! ", "? ", "\t", ""])
+_RULE_TEXT = st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=40).map(
+    lambda pairs: "".join(token + sep for token, sep in pairs))
+
+
+class TestPrefilter:
+    def test_fold_maps_each_char_to_the_ascii_char_it_matches(self):
+        # Every code point but the surrogates: a character that re.IGNORECASE
+        # equates with ASCII characters must fold to exactly their lowercase.
+        ascii_class = re.compile(r"[\x00-\x7f]", re.IGNORECASE)
+        for cp in range(sys.maxunicode + 1):
+            if 0xD800 <= cp <= 0xDFFF:
+                continue
+            ch = chr(cp)
+            if ascii_class.fullmatch(ch) is None:
+                continue
+            matched = {c.lower() for c in map(chr, range(128))
+                       if re.fullmatch(re.escape(c), ch, re.IGNORECASE)}
+            assert matched == {ch.translate(FOLD)}, hex(cp)
+
+    def test_needles_are_the_longest_literal_word_of_each_side(self):
+        assert compile_pattern("data protection law*", "r:0").needles == ("protection",)
+        assert compile_pattern("notif* ~ Breach", "r:1").needles == ("notif", "breach")
+        assert compile_pattern("r\u00e9sum\u00e9", "r:2").needles == ("",)
+
+    def test_analyze_passes_analyzed_text_through(self):
+        doc = analyze(SAMPLE)
+        assert analyze(doc) is doc
+        assert len(doc.folded) == len(doc.text)
+
+    @pytest.mark.parametrize("text,dim,rule", [
+        ("We follow H\u0130PAA rules.", Dim.HIPAA_MENTION, "hipaa_mention:0"),
+        ("Transfers use \u017f\u017fl.", Dim.DATA_ENCRYPTION, "data_encryption:1"),
+    ])
+    def test_non_ascii_case_variants_still_match(self, rules, text, dim, rule):
+        finding = {f.dimension: f for f in detect_all(text, rules)}[dim]
+        assert finding.verdict is Verdict.YES
+        assert {e.rule_id for e in finding.evidence} == {rule}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_RULE_TEXT)
+    def test_a_pattern_that_matches_is_possible(self, text):
+        folded = analyze(text).folded
+        for pattern in _all_patterns(_RULES):
+            if pattern.matches_in(text):
+                assert pattern.possible_in(folded), pattern.raw
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RULE_TEXT)
+    def test_findings_do_not_depend_on_analysis_or_prefilter(self, text):
+        assume(analyze(text).sentence_spans)
+        findings = detect_all(text, _RULES)
+        assert detect_all(analyze(text), _RULES) == findings
+        assert detect_all(text, _without_prefilter(_RULES)) == findings

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -82,6 +83,20 @@ class TestAuditPipeline:
         agreement = result.agreement()
         assert agreement["annotated_cells"] == 27 * 13
         assert agreement["rate"] == 1.0
+
+    def test_each_document_is_segmented_once(self, fixture_codebook, monkeypatch):
+        import praf.readability
+
+        calls = []
+        segment = praf.readability.sentence_spans
+        for name, module in list(sys.modules.items()):
+            if name.startswith("praf") and getattr(module, "sentence_spans", None) is segment:
+                monkeypatch.setattr(module, "sentence_spans",
+                                    lambda text: calls.append(text) or segment(text))
+        result = run_audit(fixture_codebook, FIXTURES / "cache", load_rules(default_rules_path()))
+        texts = [a.text for a in result.audits if a.accessible]
+        assert len(texts) == 27
+        assert calls == texts
 
     def test_fixture_corpus_bands_match_reference(self, fixture_codebook, reference):
         rules = load_rules(default_rules_path())

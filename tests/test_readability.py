@@ -4,11 +4,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from praf.errors import NonAlphabetic, NoSentences
 from praf.readability import (
     ReadabilityBand,
     ReadabilityResult,
+    analyze,
     band,
     count_syllables,
     readability_points,
@@ -53,6 +55,16 @@ class TestSegmentation:
         for a, b in sentence_spans(text):
             assert 0 <= a < b <= len(text)
             assert text[a:b] == text[a:b].strip()
+
+    @given(st.lists(st.sampled_from(list("aZe3 .!?\"'\u201c\u201d()[]\n\t\u0130\u017f")
+                                    + ["Dr.", "e.g.", "We", "share"])).map("".join))
+    def test_spans_ordered_disjoint_within_text(self, text):
+        spans = sentence_spans(text)
+        end = 0
+        for a, b in spans:
+            assert end <= a < b <= len(text)
+            end = b
+        assert analyze(text).sentence_spans == tuple(spans)
 
 
 class TestSyllables:
