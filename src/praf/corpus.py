@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .detect import DetectionDimension, Verdict
+from .detect import DIMENSIONS, DetectionDimension, Verdict
 from .errors import MalformedCodebook, MissingFile
 from .ingest import atomic_write
 
@@ -216,10 +216,10 @@ def _record_to_json(rec: AppRecord) -> dict:
 
 
 def _annotation_to_json(ann: AnnotationSet) -> dict:
-    ordered = sorted(ann.overrides.items(), key=lambda kv: list(DetectionDimension).index(kv[0]))
     return {
         "app": ann.app,
-        "overrides": {dim.value: v.value for dim, v in ordered},
+        "overrides": {dim.value: ann.overrides[dim].value
+                      for dim in DIMENSIONS if dim in ann.overrides},
         "reviewer_note": ann.reviewer_note,
         "timestamp": ann.timestamp.isoformat(),
     }

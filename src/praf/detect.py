@@ -7,12 +7,33 @@ Human annotations override detector verdicts via :func:`apply_overrides`.
 Rule files map each dimension to ``{"strong": [...], "weak": [...],
 "thresholds": {...}}``. Patterns are case-insensitive phrases; a trailing
 ``*`` on a word matches any suffix ("encrypt*" hits "encrypted"), and
-``a ~ b`` requires both sub-patterns within one sentence. Each side also
-keeps a lowercase literal that all of its matches contain; a pattern with a
-literal absent from a document's folded text is never run on it. For the
-language detectors, ``ambiguous_language.strong`` holds the hedge terms and
-``vague_commitments`` uses ``strong`` for generic assurances with ``weak``
-for the concrete-mechanism terms that defuse them.
+``a ~ b`` requires both sub-patterns within one sentence.
+
+Each pattern keeps lowercase literals that tell where it can match, read off
+the document's ``FOLD`` copy (:class:`~praf.readability.AnalyzedText`):
+
+- the *needle* of each side, its longest ASCII word: every match of the side
+  contains it. A pattern with a needle absent from the document is never run.
+- the *anchor* of a plain phrase, its first word: every match starts with it.
+  The phrase regex is tried only at the anchor's occurrences, with ``match``
+  at that position; after a hit the scan resumes at the match's end, after a
+  miss one character on. Patterns matched sentence by sentence (proximity
+  patterns and the two language detectors) run only on the *candidate
+  sentences*, those whose span holds an occurrence of every needle.
+
+Both are exact. ``FOLD`` keeps offsets and maps each character that
+``re.IGNORECASE`` equates with an ASCII character to that character, so a
+match of an ASCII literal shows as the literal at the same offset of the
+folded text. ``match`` at a position sees the text before it, so ``\\b``
+behaves as in ``finditer``, and resuming at a match's end keeps matches
+disjoint as ``finditer`` does. Literals come from ASCII words only; a side
+with no ASCII word, or a phrase whose first word is not ASCII, gets the empty
+literal, which occurs everywhere: the anchor scan then tries every position
+and every sentence is a candidate.
+
+For the language detectors, ``ambiguous_language.strong`` holds the hedge
+terms and ``vague_commitments`` uses ``strong`` for generic assurances with
+``weak`` for the concrete-mechanism terms that defuse them.
 
 :data:`DIMENSIONS` is the one table of the rubric's layout: for each
 dimension its detector kind, matrix column and header, the rubric element it
@@ -24,8 +45,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -160,7 +183,12 @@ class CompiledPattern:
     rule_id: str
     regex: re.Pattern | None            # plain phrase
     parts: tuple[re.Pattern, ...] = ()  # proximity sub-patterns (all in one sentence)
-    needles: tuple[str, ...] = ()       # per side, a literal every match of it contains
+    # Per side, a literal every match of the side contains; the candidate
+    # sentences of the pattern are those that hold every needle.
+    needles: tuple[str, ...] = ()
+    # Plain phrase: the literal every match starts with (its first word); the
+    # regex is tried only where it occurs. "" tries every position.
+    anchor: str = ""
 
     def matches_in(self, text: str) -> bool:
         """True when the pattern re-matches inside the given text slice."""
@@ -195,6 +223,14 @@ def _needle(phrase: str) -> str:
     return max(literals, key=len, default="")
 
 
+def _anchor(phrase: str) -> str:
+    """The phrase's first word without its ``*``, lowercased. Every match of
+    the phrase's regex starts with it in the ``FOLD`` copy of the text, which
+    is exact only for ASCII; a first word with a non-ASCII character gives ""."""
+    first = phrase.split()[0]
+    return first.removesuffix("*").lower() if first.isascii() else ""
+
+
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
     try:
         if "~" in raw:
@@ -204,8 +240,9 @@ def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
                 raise MalformedRules(f"proximity pattern needs two sides: {raw!r}")
             return CompiledPattern(raw=raw, rule_id=rule_id, regex=None, parts=parts,
                                    needles=tuple(_needle(side) for side in sides))
-        return CompiledPattern(raw=raw, rule_id=rule_id, regex=_phrase_regex(raw),
-                               needles=(_needle(raw),))
+        regex = _phrase_regex(raw)
+        return CompiledPattern(raw=raw, rule_id=rule_id, regex=regex,
+                               needles=(_needle(raw),), anchor=_anchor(raw))
     except re.error as exc:
         raise MalformedRules(f"pattern {raw!r} does not compile: {exc}") from exc
 
@@ -270,18 +307,51 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
+def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText) -> set[int]:
+    """Indices of the sentences whose span holds an occurrence of every needle
+    of the pattern; no other sentence can match it."""
+    spans, folded = doc.sentence_spans, doc.folded
+    candidates = set(range(len(spans)))
+    for needle in pattern.needles:
+        holding: set[int] = set()
+        i = folded.find(needle)
+        while i != -1:
+            k = bisect_right(spans, i, key=itemgetter(0)) - 1  # last sentence starting at or before i
+            if k >= 0 and i + len(needle) <= spans[k][1]:
+                holding.add(k)
+                i = max(i, spans[k][1] - 1)  # the next sentence starts at or after this one's end
+            i = folded.find(needle, i + 1)
+        candidates &= holding
+    return candidates
+
+
+def _screen(patterns: tuple[CompiledPattern, ...],
+            doc: AnalyzedText) -> list[tuple[CompiledPattern, set[int]]]:
+    """The patterns that are possible in the document, each with its candidate sentences."""
+    return [(p, _candidate_sentences(p, doc)) for p in patterns if p.possible_in(doc.folded)]
+
+
 def _pattern_spans(pattern: CompiledPattern, doc: AnalyzedText) -> list[EvidenceSpan]:
     """All evidence spans for one pattern; proximity patterns yield the covering
     span of their sub-matches within each sentence where all sides occur."""
     spans: list[EvidenceSpan] = []
     if not pattern.possible_in(doc.folded):
         return spans
-    text = doc.text
+    text, folded = doc.text, doc.folded
     if pattern.regex is not None:
-        for m in pattern.regex.finditer(text):
-            spans.append(EvidenceSpan(m.start(), m.end(), pattern.rule_id))
+        anchor, match = pattern.anchor, pattern.regex.match
+        i = folded.find(anchor)
+        while i != -1:
+            m = match(text, i)
+            if m is None:
+                i += 1
+            else:
+                spans.append(EvidenceSpan(m.start(), m.end(), pattern.rule_id))
+                i = max(m.end(), i + 1)  # an empty match cannot stall the scan
+            i = folded.find(anchor, i)
         return spans
-    for a, b in doc.sentence_spans:
+    for k in sorted(_candidate_sentences(pattern, doc)):
+        a, b = doc.sentence_spans[k]
         segment = text[a:b]
         hits = [p.search(segment) for p in pattern.parts]
         if all(hits):
@@ -381,12 +451,13 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
     partial_at = float(dr.thresholds.get("partial_density", 0.15))
     yes_at = float(dr.thresholds.get("yes_density", 0.35))
-    hedges = [p for p in dr.strong if p.possible_in(doc.folded)]
+    hedges = _screen(dr.strong, doc)
     spans: list[EvidenceSpan] = []
-    for a, b in sentences:
+    for k in sorted(set().union(*(cands for _, cands in hedges))):
+        a, b = sentences[k]
         segment = doc.text[a:b]
-        for pat in hedges:
-            if pat.matches_in(segment):
+        for pat, cands in hedges:
+            if k in cands and pat.matches_in(segment):
                 spans.append(EvidenceSpan(a, b, pat.rule_id))
                 break
     density = len(spans) / len(sentences)
@@ -404,15 +475,16 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
     yes_at = int(dr.thresholds.get("yes_sentences", 3))
-    claims = [p for p in dr.strong if p.possible_in(doc.folded)]
-    mechanisms = [p for p in dr.weak if p.possible_in(doc.folded)]
+    claims = _screen(dr.strong, doc)
+    mechanisms = _screen(dr.weak, doc)
     spans: list[EvidenceSpan] = []
-    for a, b in doc.sentence_spans:
+    for k in sorted(set().union(*(cands for _, cands in claims))):
+        a, b = doc.sentence_spans[k]
         segment = doc.text[a:b]
-        hit = next((p for p in claims if p.matches_in(segment)), None)
+        hit = next((p for p, cands in claims if k in cands and p.matches_in(segment)), None)
         if hit is None:
             continue
-        if any(mech.matches_in(segment) for mech in mechanisms):
+        if any(k in cands and mech.matches_in(segment) for mech, cands in mechanisms):
             continue  # names a concrete safeguard, not vague
         spans.append(EvidenceSpan(a, b, hit.rule_id))
     detail = {"vague_sentences": len(spans)}

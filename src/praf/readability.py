@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,7 +121,8 @@ ABBREVIATIONS = frozenset({
 
 _TERMINATORS = ".!?"
 _CLOSERS = "\"'”’)]"
-_TERM_OR_CLOSE = _TERMINATORS + _CLOSERS
+_BREAK_RE = re.compile("[\n" + re.escape(_TERMINATORS) + "]")  # where a sentence may end
+_RUN_RE = re.compile("[" + re.escape(_TERMINATORS + _CLOSERS) + "]*")  # rest of a terminator run
 
 
 def _token_before(text: str, i: int) -> str:
@@ -148,7 +150,8 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
 
     Splits on . ! ? and on hard newlines; a period does not split after a
     known abbreviation or inside a decimal number. Whitespace-only segments
-    are dropped.
+    are dropped. The scan jumps from one newline or terminator to the next,
+    past the run of terminators and closers that follows a terminator.
     """
     spans: list[tuple[int, int]] = []
 
@@ -161,17 +164,16 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
             spans.append((a, b))
 
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
+    found = _BREAK_RE.search(text)
+    while found is not None:
+        i = j = found.start()
         c = text[i]
         if c == "\n":
             emit(start, i)
             start = i + 1
-        elif c in _TERMINATORS:
-            j = i
-            while j + 1 < n and text[j + 1] in _TERM_OR_CLOSE:
-                j += 1
+        else:
+            j = _RUN_RE.match(text, i + 1).end() - 1
             split = True
             if c == ".":
                 before = _token_before(text, i)
@@ -184,8 +186,7 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
             if split:
                 emit(start, j + 1)
                 start = j + 1
-            i = j
-        i += 1
+        found = _BREAK_RE.search(text, j + 1)
     emit(start, n)
     return spans
 
@@ -250,16 +251,19 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
-_WORD_RE = re.compile(r"[A-Za-z]+(?:['’-][A-Za-z]+)*")
+# Runs of word characters that are neither digits nor "_": the letters of any
+# script, plus the few numeric characters that are not digits ("½", "²").
+_WORD_RE = re.compile(r"[^\W\d_]+(?:['’-][^\W\d_]+)*")
 
 
 def words(text: str) -> list[str]:
-    """Alphabetic tokens (with internal apostrophes/hyphens)."""
-    return _WORD_RE.findall(text)
+    """Alphabetic tokens of any script (with internal apostrophes/hyphens)."""
+    return [w for w in _WORD_RE.findall(text) if w.isascii() or any(map(str.isalpha, w))]
 
 
 def count_polysyllables(text: str) -> int:
-    return sum(1 for w in words(text) if count_syllables(w) >= 3)
+    """Words of three or more syllables; each distinct word is counted once."""
+    return sum(n for w, n in Counter(words(text)).items() if count_syllables(w) >= 3)
 
 
 def smog_grade(text: str | AnalyzedText) -> ReadabilityResult:

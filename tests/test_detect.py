@@ -23,6 +23,7 @@ from praf.detect import (
     detect_vague_commitments,
     load_rules,
     no_findings,
+    _pattern_spans,
 )
 from praf.errors import MalformedRules, MissingFile, UnknownDimension, UnsupportedDimension
 from praf.readability import FOLD, analyze
@@ -256,14 +257,16 @@ def _all_patterns(ruleset):
 
 
 def _without_prefilter(ruleset) -> RuleSet:
-    """The same rules with no literals, so every pattern runs its regex."""
+    """The same rules with no literals, so every pattern runs its regex at
+    every position and on every sentence."""
     def strip(patterns):
-        return tuple(dataclasses.replace(p, needles=()) for p in patterns)
+        return tuple(dataclasses.replace(p, needles=(), anchor="") for p in patterns)
     return RuleSet({dim: dataclasses.replace(dr, strong=strip(dr.strong), weak=strip(dr.weak))
                     for dim, dr in ruleset.by_dimension.items()})
 
 
 _RULES = load_rules(default_rules_path())
+_BY_RULE_ID = {p.rule_id: p for p in _all_patterns(_RULES)}
 _SPECIAL = ["\u0130", "\u0131", "\u017f", "\u212a"]
 _RULE_SIDES = sorted({tuple(side.split())
                       for p in _all_patterns(_RULES) for side in p.raw.split("~")})
@@ -318,6 +321,33 @@ class TestPrefilter:
         assert compile_pattern("notif* ~ Breach", "r:1").needles == ("notif", "breach")
         assert compile_pattern("r\u00e9sum\u00e9", "r:2").needles == ("",)
 
+    def test_anchor_is_the_first_word_of_a_phrase(self):
+        assert compile_pattern("limit* the collection", "r:0").anchor == "limit"
+        assert compile_pattern("multi-factor", "r:1").anchor == "multi-factor"
+        assert compile_pattern("r\u00e9sum\u00e9 data", "r:2").anchor == ""
+
+    @pytest.mark.parametrize("raw,text,spans", [
+        ("share your information", "We share your\ninformation.", [(3, 25)]),
+        ("encrypt*", "Backups are unencrypted.", []),
+        ("encrypt*", "unencrypted, encrypted and ENCRYPTS", [(13, 22), (27, 35)]),
+        # the second occurrence of the anchor overlaps the first, which misses
+        ("so-so answer", "a so-so-so answer", [(5, 17)]),
+        # no ASCII anchor: every position is tried
+        ("r\u00e9sum\u00e9 data", "R\u00c9SUM\u00c9 data; r\u00e9sum\u00e9s data, r\u00e9sum\u00e9\tdata",
+         [(0, 11), (27, 38)]),
+    ])
+    def test_anchored_scan_finds_what_finditer_finds(self, raw, text, spans):
+        pattern = compile_pattern(raw, "r:0")
+        assert [m.span() for m in pattern.regex.finditer(text)] == spans
+        assert [(s.start, s.end) for s in _pattern_spans(pattern, analyze(text))] == spans
+
+    def test_phrase_across_a_newline_and_anchor_inside_a_word(self, rules):
+        findings = {f.dimension: f for f in detect_all(
+            "We share your\ninformation. Backups are unencrypted.", rules)}
+        sharing = findings[Dim.THIRD_PARTY_SHARING]
+        assert (3, 25) in [(e.start, e.end) for e in sharing.evidence]
+        assert findings[Dim.DATA_ENCRYPTION].verdict is Verdict.NO
+
     def test_analyze_passes_analyzed_text_through(self):
         doc = analyze(SAMPLE)
         assert analyze(doc) is doc
@@ -347,3 +377,31 @@ class TestPrefilter:
         findings = detect_all(text, _RULES)
         assert detect_all(analyze(text), _RULES) == findings
         assert detect_all(text, _without_prefilter(_RULES)) == findings
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RULE_TEXT)
+    def test_anchored_spans_equal_finditer(self, text):
+        doc = analyze(text)
+        for pattern in _all_patterns(_RULES):
+            if pattern.regex is not None:
+                expected = [m.span() for m in pattern.regex.finditer(text)]
+                assert [(s.start, s.end) for s in _pattern_spans(pattern, doc)] == expected, \
+                    pattern.raw
+
+
+class TestEvidence:
+    @settings(max_examples=100, deadline=None)
+    @given(_RULE_TEXT)
+    def test_every_evidence_span_rematches_its_rule(self, text):
+        doc = analyze(text)
+        assume(doc.sentence_spans)
+        for finding in detect_all(doc, _RULES):
+            for span in finding.evidence:
+                pattern = _BY_RULE_ID[span.rule_id]
+                assert span.rule_id.startswith(finding.dimension.value + ":")
+                piece = text[span.start:span.end]
+                if DIMENSIONS[finding.dimension].kind == "language":
+                    assert (span.start, span.end) in doc.sentence_spans
+                elif pattern.regex is not None:
+                    assert pattern.regex.fullmatch(piece), (pattern.raw, piece)
+                assert pattern.matches_in(piece), (pattern.raw, piece)

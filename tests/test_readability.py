@@ -4,23 +4,90 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from praf.errors import NonAlphabetic, NoSentences
 from praf.readability import (
+    ABBREVIATIONS,
     ReadabilityBand,
     ReadabilityResult,
+    _boundary_ok,
+    _token_before,
     analyze,
     band,
+    count_polysyllables,
     count_syllables,
     readability_points,
     segment_sentences,
     sentence_spans,
     smog_from_counts,
     smog_grade,
+    words,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def reference_sentence_spans(text: str) -> list[tuple[int, int]]:
+    """The segmenter as a scan of every character, the reference for the
+    jumping one: same rules, same spans."""
+    spans: list[tuple[int, int]] = []
+
+    def emit(a: int, b: int) -> None:
+        while a < b and text[a].isspace():
+            a += 1
+        while b > a and text[b - 1].isspace():
+            b -= 1
+        if b > a:
+            spans.append((a, b))
+
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            emit(start, i)
+            start = i + 1
+        elif c in ".!?":
+            j = i
+            while j + 1 < n and text[j + 1] in ".!?\"'\u201d\u2019)]":
+                j += 1
+            split = True
+            if c == ".":
+                before = _token_before(text, i)
+                if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+                    split = False
+                elif before in ABBREVIATIONS or len(before) == 1:
+                    split = False
+            if split and not _boundary_ok(text, j):
+                split = False
+            if split:
+                emit(start, j + 1)
+                start = j + 1
+            i = j
+        i += 1
+    emit(start, n)
+    return spans
+
+
+def _cases(word: str):
+    return st.sampled_from([word, word.title(), word.upper()])
+
+
+# Text made of what the segmenter decides on: terminator runs, closers,
+# newlines and spaces, decimals, abbreviations, initials and sentence starts.
+_SEGMENT_TOKENS = st.one_of(
+    st.text(alphabet=".!?", min_size=1, max_size=3),
+    st.sampled_from(list("\"')]\u201d\u2019") + ["\n", " ", "  ", "\t", " \n "]),
+    st.from_regex(r"\d{0,2}\.\d{0,2}", fullmatch=True),
+    st.sampled_from(sorted(ABBREVIATIONS)).flatmap(_cases).map(lambda a: a + "."),
+    st.sampled_from("AjJxZ").map(lambda c: c + "."),
+    st.sampled_from(["we", "data", "policy", "\u00e9t\u00e9", "3", "("]).flatmap(_cases),
+    st.sampled_from(["\u201cThe", "\u2018it", "\"Yes", "'no"]),
+)
+_SEGMENT_TEXT = st.lists(st.tuples(_SEGMENT_TOKENS, st.sampled_from(["", " ", " ", "\n"])),
+                         max_size=30).map(lambda pairs: "".join(t + sep for t, sep in pairs))
 
 
 class TestSegmentation:
@@ -66,6 +133,14 @@ class TestSegmentation:
             end = b
         assert analyze(text).sentence_spans == tuple(spans)
 
+    @settings(max_examples=500, deadline=None)
+    @given(_SEGMENT_TEXT)
+    @example('He said "Stop." Then he left.')
+    @example("Really?!\u201d She asked (twice.) Again.")
+    @example("Pay 3.50 now. Dr. J. Smith, e.g. U.S.A. staff... Fine!\nEnd.")
+    def test_jumping_segmenter_equals_character_scan(self, text):
+        assert sentence_spans(text) == reference_sentence_spans(text)
+
 
 class TestSyllables:
     @pytest.mark.parametrize(
@@ -79,6 +154,18 @@ class TestSyllables:
     def test_non_alphabetic_rejected(self):
         with pytest.raises(NonAlphabetic):
             count_syllables("42")
+
+    def test_words_of_any_script_are_one_word(self):
+        assert words("Les prot\u00e9g\u00e9es, na\u00efve and co-op's data_2 x\u00bd") == [
+            "Les", "prot\u00e9g\u00e9es", "na\u00efve", "and", "co-op's", "data", "x\u00bd"]
+        assert words("\u00bd \u00b2 42") == []
+        assert smog_grade("A \u00bd portion.").polysyllable_count == 0
+
+    @given(st.lists(st.sampled_from(["encryption", "data", "Anonymization", "na\u00efvet\u00e9",
+                                     "confidentiality", "we", "re-identification", " ", ". "])))
+    def test_polysyllables_counted_once_per_distinct_word(self, tokens):
+        text = " ".join(tokens)
+        assert count_polysyllables(text) == sum(1 for w in words(text) if count_syllables(w) >= 3)
 
     def test_dictionary_fixture_agreement(self):
         fixture = json.loads((DATA / "syllable_words.json").read_text())["words"]
