@@ -6,59 +6,4 @@ and emit per-app and corpus-level reports. A bundled 28-app reference audit
 serves as the regression baseline (see `praf verify`).
 """
 
-from .corpus import (
-    AnnotationSet,
-    AppCategory,
-    AppRecord,
-    Codebook,
-    RawAppEntry,
-    StoreSource,
-    assign_pseudonyms,
-    load_codebook,
-    save_codebook,
-)
-from .detect import (
-    DetectionDimension,
-    EvidenceSpan,
-    Finding,
-    RuleSet,
-    Verdict,
-    apply_overrides,
-    detect_all,
-    detect_ambiguity,
-    detect_principle,
-    detect_regulations,
-    detect_vague_commitments,
-    load_rules,
-)
-from .ingest import (
-    InaccessibleReason,
-    PolicyDocument,
-    cache_get,
-    cache_put,
-    extract_text,
-    fetch_policy,
-)
-from .readability import (
-    ReadabilityBand,
-    ReadabilityResult,
-    band,
-    count_syllables,
-    readability_points,
-    segment_sentences,
-    smog_from_counts,
-    smog_grade,
-)
-from .report import CorpusSummary, emit_app_report, emit_matrix, summarize
-from .score import (
-    PrafProfile,
-    ScoringInput,
-    score_app,
-    score_min_retention,
-    score_regulatory,
-    score_security,
-    score_third_party,
-    score_usability,
-)
-
 __version__ = "0.1.0"

@@ -79,12 +79,6 @@ class Codebook:
             if ann.app not in seen:
                 raise MalformedCodebook(f"annotation references unknown app {ann.app!r}")
 
-    def record(self, pseudonym: str) -> AppRecord:
-        for rec in self.records:
-            if rec.pseudonym == pseudonym:
-                return rec
-        raise KeyError(pseudonym)
-
     def overrides_for(self, pseudonym: str) -> dict[DetectionDimension, Verdict]:
         """Merged overrides for one app; later annotation sets win per dimension."""
         merged: dict[DetectionDimension, Verdict] = {}
@@ -92,9 +86,6 @@ class Codebook:
             if ann.app == pseudonym:
                 merged.update(ann.overrides)
         return merged
-
-    def real_names(self) -> list[str]:
-        return [r.real_name for r in self.records if r.real_name]
 
 
 @dataclass(frozen=True)

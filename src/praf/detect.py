@@ -12,24 +12,25 @@ Rule files map each dimension to ``{"strong": [...], "weak": [...],
 Each pattern keeps lowercase literals that tell where it can match, read off
 the document's ``FOLD`` copy (:class:`~praf.readability.AnalyzedText`):
 
-- the *needle* of each side, its longest ASCII word: every match of the side
-  contains it. A pattern with a needle absent from the document is never run.
 - the *anchor* of a plain phrase, its first word: every match starts with it.
-  The phrase regex is tried only at the anchor's occurrences, with ``match``
-  at that position; after a hit the scan resumes at the match's end, after a
-  miss one character on. Patterns matched sentence by sentence (proximity
-  patterns and the two language detectors) run only on the *candidate
-  sentences*, those whose span holds an occurrence of every needle.
+  The phrase regex is tried only at the anchor's occurrences in the document,
+  with ``match`` at that position; after a hit the scan resumes at the
+  match's end, after a miss one character on.
+- the *needle* of each side, its longest ASCII word: every match of the side
+  contains it. Patterns matched sentence by sentence (proximity patterns and
+  the two language detectors) run only on the *candidate sentences*, those
+  whose span holds an occurrence of every needle.
 
-Both are exact. ``FOLD`` keeps offsets and maps each character that
-``re.IGNORECASE`` equates with an ASCII character to that character, so a
-match of an ASCII literal shows as the literal at the same offset of the
-folded text. ``match`` at a position sees the text before it, so ``\\b``
-behaves as in ``finditer``, and resuming at a match's end keeps matches
-disjoint as ``finditer`` does. Literals come from ASCII words only; a side
-with no ASCII word, or a phrase whose first word is not ASCII, gets the empty
-literal, which occurs everywhere: the anchor scan then tries every position
-and every sentence is a candidate.
+So a pattern whose literal is absent from the document never runs. Both are
+exact. ``FOLD`` keeps offsets and maps each character that ``re.IGNORECASE``
+equates with an ASCII character to that character, so a match of an ASCII
+literal shows as the literal at the same offset of the folded text. ``match``
+at a position sees the text before it, so ``\\b`` behaves as in ``finditer``,
+and resuming at a match's end keeps matches disjoint as ``finditer`` does.
+Literals come from ASCII words only; a side with no ASCII word, or a phrase
+whose first word is not ASCII, gets the empty literal, which occurs
+everywhere: the anchor scan then tries every position and every sentence is
+a candidate.
 
 For the language detectors, ``ambiguous_language.strong`` holds the hedge
 terms and ``vague_commitments`` uses ``strong`` for generic assurances with
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import MalformedRules, MissingFile, NoSentences, UnknownDimension, UnsupportedDimension
 from .readability import AnalyzedText, analyze
@@ -196,11 +197,6 @@ class CompiledPattern:
             return self.regex.search(text) is not None
         return all(p.search(text) for p in self.parts)
 
-    def possible_in(self, folded: str) -> bool:
-        """False only when the pattern cannot match a text whose ``FOLD`` copy
-        is ``folded``: some side's literal does not occur in it."""
-        return all(n in folded for n in self.needles)
-
 
 def _phrase_regex(phrase: str) -> re.Pattern:
     words = phrase.split()
@@ -307,12 +303,15 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
-def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText) -> set[int]:
-    """Indices of the sentences whose span holds an occurrence of every needle
-    of the pattern; no other sentence can match it."""
+def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText,
+                         within: Iterable[int] | None = None) -> set[int]:
+    """Indices of the sentences (of ``within``, if given) whose span holds an
+    occurrence of every needle of the pattern; no other sentence can match it."""
     spans, folded = doc.sentence_spans, doc.folded
-    candidates = set(range(len(spans)))
+    candidates = set(range(len(spans)) if within is None else within)
     for needle in pattern.needles:
+        if not candidates:
+            break
         holding: set[int] = set()
         i = folded.find(needle)
         while i != -1:
@@ -325,18 +324,25 @@ def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText) -> set[int
     return candidates
 
 
-def _screen(patterns: tuple[CompiledPattern, ...],
-            doc: AnalyzedText) -> list[tuple[CompiledPattern, set[int]]]:
-    """The patterns that are possible in the document, each with its candidate sentences."""
-    return [(p, _candidate_sentences(p, doc)) for p in patterns if p.possible_in(doc.folded)]
+def _sentence_hits(patterns: tuple[CompiledPattern, ...], doc: AnalyzedText,
+                   within: Iterable[int] | None = None) -> dict[int, CompiledPattern]:
+    """Each sentence (of ``within``, if given) that some pattern matches, in
+    text order, with the first pattern in rule order that matches it."""
+    screened = [(p, _candidate_sentences(p, doc, within)) for p in patterns]
+    hits: dict[int, CompiledPattern] = {}
+    for k in sorted(set().union(*(cands for _, cands in screened))):
+        a, b = doc.sentence_spans[k]
+        segment = doc.text[a:b]
+        hit = next((p for p, cands in screened if k in cands and p.matches_in(segment)), None)
+        if hit is not None:
+            hits[k] = hit
+    return hits
 
 
 def _pattern_spans(pattern: CompiledPattern, doc: AnalyzedText) -> list[EvidenceSpan]:
     """All evidence spans for one pattern; proximity patterns yield the covering
     span of their sub-matches within each sentence where all sides occur."""
     spans: list[EvidenceSpan] = []
-    if not pattern.possible_in(doc.folded):
-        return spans
     text, folded = doc.text, doc.folded
     if pattern.regex is not None:
         anchor, match = pattern.anchor, pattern.regex.match
@@ -377,23 +383,7 @@ def _collect(patterns: tuple[CompiledPattern, ...],
 def detect_regulations(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
     """Findings for the three regulation dimensions, in column order."""
     doc = analyze(text)
-    findings = []
-    for dim in dimensions(kind="regulation"):
-        dr = rules.rules_for(dim)
-        strong_spans, matched = _collect(dr.strong, doc)
-        if strong_spans:
-            detail = None
-            if dim is DetectionDimension.OTHER_REGULATION:
-                names = sorted({REGULATION_ALIASES.get(raw.lower(), raw) for raw in matched})
-                detail = {"regulations": names}
-            findings.append(Finding(dim, Verdict.YES, strong_spans, detail))
-            continue
-        weak_spans, _ = _collect(dr.weak, doc)
-        if weak_spans:
-            findings.append(Finding(dim, Verdict.PARTIAL, weak_spans))
-        else:
-            findings.append(Finding(dim, Verdict.NO))
-    return findings
+    return [_phrase_finding(doc, dim, rules) for dim in dimensions(kind="regulation")]
 
 
 _DURATION_RE = re.compile(r"\b(\d+)\s*(day|week|month|year)s?\b", re.IGNORECASE)
@@ -416,30 +406,35 @@ def _retention_detail(doc: AnalyzedText, spans: tuple[EvidenceSpan, ...]) -> Map
     return None
 
 
+def _phrase_finding(doc: AnalyzedText, dim: DetectionDimension, rules: RuleSet) -> Finding:
+    """Strong rules assert an explicit statement (yes); weak rules alone read as
+    hedged coverage (partial). A yes for other_regulation names the matched
+    regulations; a yes for retention carries a duration when a number+unit
+    appears in a sentence with retention language."""
+    dr = rules.rules_for(dim)
+    strong_spans, matched = _collect(dr.strong, doc)
+    if strong_spans:
+        detail = None
+        if dim is DetectionDimension.OTHER_REGULATION:
+            names = sorted({REGULATION_ALIASES.get(raw.lower(), raw) for raw in matched})
+            detail = {"regulations": names}
+        elif dim is DetectionDimension.RETENTION_TIME:
+            detail = _retention_detail(doc, strong_spans)
+        return Finding(dim, Verdict.YES, strong_spans, detail)
+    weak_spans, _ = _collect(dr.weak, doc)
+    if weak_spans:
+        return Finding(dim, Verdict.PARTIAL, weak_spans)
+    return Finding(dim, Verdict.NO)
+
+
 def detect_principle(text: str | AnalyzedText, dimension: DetectionDimension,
                      rules: RuleSet) -> Finding:
-    """Detect one of the eight principle dimensions.
-
-    Strong rules assert an explicit commitment (yes); weak rules alone read as
-    hedged coverage (partial). Retention findings carry an extracted duration
-    when a number+unit appears near the retention language.
-    """
+    """Detect one of the eight principle dimensions (see :func:`_phrase_finding`)."""
     if DIMENSIONS[dimension].kind != "principle":
         raise UnsupportedDimension(
             f"{dimension.value} is not a principle dimension; use its dedicated detector"
         )
-    doc = analyze(text)
-    dr = rules.rules_for(dimension)
-    strong_spans, _ = _collect(dr.strong, doc)
-    if strong_spans:
-        detail = None
-        if dimension is DetectionDimension.RETENTION_TIME:
-            detail = _retention_detail(doc, strong_spans)
-        return Finding(dimension, Verdict.YES, strong_spans, detail)
-    weak_spans, _ = _collect(dr.weak, doc)
-    if weak_spans:
-        return Finding(dimension, Verdict.PARTIAL, weak_spans)
-    return Finding(dimension, Verdict.NO)
+    return _phrase_finding(analyze(text), dimension, rules)
 
 
 def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
@@ -451,23 +446,15 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
     partial_at = float(dr.thresholds.get("partial_density", 0.15))
     yes_at = float(dr.thresholds.get("yes_density", 0.35))
-    hedges = _screen(dr.strong, doc)
-    spans: list[EvidenceSpan] = []
-    for k in sorted(set().union(*(cands for _, cands in hedges))):
-        a, b = sentences[k]
-        segment = doc.text[a:b]
-        for pat, cands in hedges:
-            if k in cands and pat.matches_in(segment):
-                spans.append(EvidenceSpan(a, b, pat.rule_id))
-                break
+    spans = [EvidenceSpan(*sentences[k], pat.rule_id)
+             for k, pat in _sentence_hits(dr.strong, doc).items()]
     density = len(spans) / len(sentences)
     detail = {"hedged_sentences": len(spans), "sentences": len(sentences),
               "density": round(density, 4)}
-    if density >= yes_at:
-        return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, Verdict.YES, tuple(spans), detail)
-    if density >= partial_at:
-        return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, Verdict.PARTIAL, tuple(spans), detail)
-    return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, Verdict.NO, (), detail)
+    verdict = (Verdict.YES if density >= yes_at
+               else Verdict.PARTIAL if density >= partial_at else Verdict.NO)
+    evidence = tuple(spans) if verdict is not Verdict.NO else ()
+    return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, verdict, evidence, detail)
 
 
 def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Finding:
@@ -475,24 +462,13 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
     yes_at = int(dr.thresholds.get("yes_sentences", 3))
-    claims = _screen(dr.strong, doc)
-    mechanisms = _screen(dr.weak, doc)
-    spans: list[EvidenceSpan] = []
-    for k in sorted(set().union(*(cands for _, cands in claims))):
-        a, b = doc.sentence_spans[k]
-        segment = doc.text[a:b]
-        hit = next((p for p, cands in claims if k in cands and p.matches_in(segment)), None)
-        if hit is None:
-            continue
-        if any(k in cands and mech.matches_in(segment) for mech, cands in mechanisms):
-            continue  # names a concrete safeguard, not vague
-        spans.append(EvidenceSpan(a, b, hit.rule_id))
+    claims = _sentence_hits(dr.strong, doc)
+    mechanisms = _sentence_hits(dr.weak, doc, within=claims)  # a named safeguard defuses a claim
+    spans = [EvidenceSpan(*doc.sentence_spans[k], pat.rule_id)
+             for k, pat in claims.items() if k not in mechanisms]
     detail = {"vague_sentences": len(spans)}
-    if len(spans) >= yes_at:
-        return Finding(DetectionDimension.VAGUE_COMMITMENTS, Verdict.YES, tuple(spans), detail)
-    if spans:
-        return Finding(DetectionDimension.VAGUE_COMMITMENTS, Verdict.PARTIAL, tuple(spans), detail)
-    return Finding(DetectionDimension.VAGUE_COMMITMENTS, Verdict.NO, (), detail)
+    verdict = Verdict.YES if len(spans) >= yes_at else Verdict.PARTIAL if spans else Verdict.NO
+    return Finding(DetectionDimension.VAGUE_COMMITMENTS, verdict, tuple(spans), detail)
 
 
 def detect_all(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:

@@ -227,6 +227,14 @@ class _TextExtractor(HTMLParser):
         super().close()
         self._flush()
 
+    def parse_marked_section(self, i, report=1):
+        # html.parser raises AssertionError on a "<![" that opens no known
+        # marked section; read it as a bogus comment up to ">", as browsers do.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
 
 _WS_RE = re.compile(r"[ \t\f\v]+")
 
@@ -255,7 +263,7 @@ def _decode(raw: bytes, content_type: str) -> str:
     encoding = m.group(1) if m else "utf-8"
     try:
         return raw.decode(encoding, errors="replace")
-    except LookupError:
+    except (LookupError, UnicodeError):  # unknown or non-text codec, or no "replace" (idna)
         return raw.decode("utf-8", errors="replace")
 
 

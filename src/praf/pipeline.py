@@ -27,7 +27,6 @@ from .detect import (
     no_findings,
 )
 from .ingest import (
-    FetchFailure,
     InaccessibleReason,
     PolicyDocument,
     cache_get,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -227,26 +228,38 @@ def analyze(text: str | AnalyzedText) -> AnalyzedText:
 
 # --- syllables --------------------------------------------------------------
 
-_VOWELS = set("aeiouy")
+# Uppercase vowels stand for vowels with a diaeresis, which start a new group.
+_VOWELS = set("aeiouyAEIOUY")
+
+
+def _vowel_key(c: str) -> str:
+    """A lowercase letter's NFD base if that is a vowel, uppercased when the
+    letter has a diaeresis ("é" -> "e", "ï" -> "I"); other letters as they are."""
+    base, *marks = unicodedata.normalize("NFD", c)
+    if base not in _VOWELS:
+        return c
+    return base.upper() if "\u0308" in marks else base
 
 
 def count_syllables(word: str) -> int:
-    """Heuristic syllable count: maximal vowel groups (a e i o u y), minus one
-    for a terminal silent 'e' (kept when the word ends in consonant + 'le');
+    """Heuristic syllable count: maximal vowel groups (a e i o u y, or a letter
+    whose NFD base is one; a diaeresis starts a new group), minus one for a
+    terminal silent plain 'e' (kept when the word ends in consonant + 'le');
     never less than one. Raises NonAlphabetic for tokens without letters."""
     letters = [c for c in word.lower() if c.isalpha()]
     if not letters:
         raise NonAlphabetic(f"no letters in token {word!r}")
+    keys = letters if word.isascii() else [_vowel_key(c) for c in letters]
     groups = 0
     prev_vowel = False
-    for c in letters:
+    for c in keys:
         is_vowel = c in _VOWELS
-        if is_vowel and not prev_vowel:
+        if is_vowel and (not prev_vowel or c.isupper()):
             groups += 1
         prev_vowel = is_vowel
-    if groups > 1 and letters[-1] == "e" and len(letters) >= 2 and letters[-2] not in _VOWELS:
+    if groups > 1 and letters[-1] == "e" and len(letters) >= 2 and keys[-2] not in _VOWELS:
         # terminal silent e; "-le" after a consonant keeps its syllable (table)
-        if not (letters[-2] == "l" and len(letters) >= 3 and letters[-3] not in _VOWELS):
+        if not (letters[-2] == "l" and len(letters) >= 3 and keys[-3] not in _VOWELS):
             groups -= 1
     return max(groups, 1)
 

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .detect import DIMENSIONS, DetectionDimension as Dim, Verdict, dimensions
 from .errors import EmptyCorpus
-from .readability import ReadabilityResult
 from .score import ELEMENTS
 
 if TYPE_CHECKING:
@@ -119,13 +118,6 @@ def summarize(audits: Sequence[AppAudit]) -> CorpusSummary:
 # --- matrix -------------------------------------------------------------------
 
 
-def _smog_str(readability: ReadabilityResult | None) -> str:
-    if readability is None:
-        return ""
-    g = round(readability.smog_grade, 1)
-    return str(int(g)) if g == int(g) else f"{g:.1f}"
-
-
 def _matrix_rows(audits: Sequence[AppAudit]) -> list[dict]:
     rows = []
     for audit in audits:
@@ -222,7 +214,7 @@ def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
     lines.append(f"Policy source: {record.policy_url or 'n/a'}")
     if readability is not None:
         lines.append(
-            f"Readability: SMOG {_smog_str(readability)} "
+            f"Readability: SMOG {_fmt_grade(round(readability.smog_grade, 1))} "
             f"({readability.band.label}, {readability.points} points)"
         )
     lines.append(f"Overall risk score: {profile.overall} / 28")

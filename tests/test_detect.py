@@ -301,6 +301,28 @@ _RULE_TEXT = st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=40).map(
     lambda pairs: "".join(token + sep for token, sep in pairs))
 
 
+_LANGUAGE_PHRASES = sorted({tuple(p.raw.split())
+                            for dim in (Dim.AMBIGUOUS_LANGUAGE, Dim.VAGUE_COMMITMENTS)
+                            for p in _RULES.rules_for(dim).strong + _RULES.rules_for(dim).weak})
+# Lines of one to four language-rule phrases, so that sentences often hold
+# several hedges, claims and mechanisms at once.
+_LANGUAGE_TEXT = st.lists(
+    st.lists(st.sampled_from(_LANGUAGE_PHRASES).flatmap(_phrase), min_size=1, max_size=4).map("".join),
+    max_size=8).map(lambda lines: "".join(line.rstrip() + ".\n" for line in lines))
+
+
+def _reference_language_spans(text, strong, weak=()):
+    """Every sentence tried with every rule: each sentence that a strong rule
+    matches, with the first such rule, unless some weak rule matches it too."""
+    spans = []
+    for a, b in analyze(text).sentence_spans:
+        segment = text[a:b]
+        hit = next((p for p in strong if p.matches_in(segment)), None)
+        if hit is not None and not any(p.matches_in(segment) for p in weak):
+            spans.append(EvidenceSpan(a, b, hit.rule_id))
+    return spans
+
+
 class TestPrefilter:
     def test_fold_maps_each_char_to_the_ascii_char_it_matches(self):
         # Every code point but the surrogates: a character that re.IGNORECASE
@@ -368,7 +390,7 @@ class TestPrefilter:
         folded = analyze(text).folded
         for pattern in _all_patterns(_RULES):
             if pattern.matches_in(text):
-                assert pattern.possible_in(folded), pattern.raw
+                assert all(n in folded for n in pattern.needles), pattern.raw
 
     @settings(max_examples=100, deadline=None)
     @given(_RULE_TEXT)
@@ -377,6 +399,19 @@ class TestPrefilter:
         findings = detect_all(text, _RULES)
         assert detect_all(analyze(text), _RULES) == findings
         assert detect_all(text, _without_prefilter(_RULES)) == findings
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_RULE_TEXT, _LANGUAGE_TEXT))
+    def test_language_detectors_equal_a_sentence_by_sentence_reference(self, text):
+        assume(analyze(text).sentence_spans)
+        hedged = _reference_language_spans(text, _RULES.rules_for(Dim.AMBIGUOUS_LANGUAGE).strong)
+        ambiguity = detect_ambiguity(text, _RULES)
+        assert ambiguity.detail["hedged_sentences"] == len(hedged)
+        if ambiguity.verdict is not Verdict.NO:
+            assert list(ambiguity.evidence) == hedged
+        vague_rules = _RULES.rules_for(Dim.VAGUE_COMMITMENTS)
+        vague = _reference_language_spans(text, vague_rules.strong, vague_rules.weak)
+        assert list(detect_vague_commitments(text, _RULES).evidence) == vague
 
     @settings(max_examples=100, deadline=None)
     @given(_RULE_TEXT)

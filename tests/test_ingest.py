@@ -2,6 +2,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
 from praf.ingest import (
@@ -35,6 +36,16 @@ class FakeTransport:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+
+
+# Bytes with markup pieces the HTML parser treats specially mixed in.
+_MARKUP = st.lists(st.one_of(st.binary(max_size=8), st.sampled_from([
+    b"<p>", b"</p>", b"<header>", b"<script>", b"<![", b"<![CDATA[", b"<![if", b"]]>", b"]>",
+    b"<!--", b"-->", b"<!DOCTYPE", b"<!ATTLIST", b"<?", b"</", b"&#x", b"&amp", b";", b"<", b">",
+])), max_size=20).map(b"".join)
+_CHARSETS = st.one_of(st.none(), st.sampled_from([
+    "utf-8", "latin-1", "utf-16", "idna", "punycode", "rot13", "undefined", "no-such-charset",
+]))
 
 
 class TestExtractText:
@@ -82,6 +93,25 @@ class TestExtractText:
 
     def test_entities_unescaped(self):
         assert extract_text(b"<p>Terms &amp; Conditions</p>", "text/html") == "Terms & Conditions"
+
+    @pytest.mark.parametrize("charset", ["idna", "punycode", "undefined", "rot13", "no-such-charset"])
+    def test_unusable_charset_falls_back_to_utf8(self, charset):
+        raw = "<p>Caf\u00e9 policy.</p>".encode()
+        assert extract_text(raw, f"text/html; charset={charset}") == "Caf\u00e9 policy."
+
+    def test_unknown_marked_section_read_as_comment(self):
+        raw = b"<p>Before.</p><![foo bar]><p>After.</p><![<!x>"
+        assert extract_text(raw, "text/html") == "Before.\nAfter."
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(), _MARKUP), _CHARSETS, st.sampled_from(["text/html", "text/plain", ""]))
+    def test_raises_nothing_but_empty_after_extraction(self, raw, charset, media):
+        content_type = media if charset is None else f"{media}; charset={charset}"
+        try:
+            text = extract_text(raw, content_type)
+        except EmptyAfterExtraction:
+            return
+        assert text.strip()
 
     def test_link_dominated_block_dropped(self):
         html = b'<div><a href="/a">Alpha</a> <a href="/b">Beta</a></div><p>Real content here.</p>'

@@ -63,6 +63,17 @@ class TestFetchCorpus:
         assert manifest[0]["status"] == "accessible"
         assert manifest[0]["cached"] is True
 
+    def test_undecodable_charset_is_recorded_not_raised(self, tmp_path):
+        transport = FakeTransport({
+            "https://a1.example/privacy": (200, "text/html; charset=idna",
+                                           "<p>We protect caf\u00e9 data.</p>".encode(), "https://a1.example/privacy"),
+            "https://a2.example/privacy": (200, "text/html; charset=punycode",
+                                           b"<p>Other \xff body.</p>", "https://a2.example/privacy"),
+        })
+        manifest = fetch_corpus(small_codebook(), tmp_path, transport=transport)
+        assert [m["status"] for m in manifest] == ["accessible", "accessible", "inaccessible"]
+        assert cache_get(tmp_path, "https://a1.example/privacy").text == "We protect caf\u00e9 data."
+
     def test_empty_codebook(self, tmp_path):
         assert fetch_corpus(Codebook(), tmp_path) == []
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,23 @@ class TestSyllables:
     )
     def test_examples(self, word, expected):
         assert count_syllables(word) == expected
+
+    @pytest.mark.parametrize(
+        "word,expected",
+        [("caf\u00e9", 2), ("r\u00e9sum\u00e9", 3), ("na\u00efve", 2), ("Zo\u00eb", 2),
+         ("prot\u00e9g\u00e9es", 3), ("CAF\u00c9", 2), ("NA\u00cfVE", 2)],
+    )
+    def test_accented_vowels(self, word, expected):
+        assert count_syllables(word) == expected
+
+    @given(st.text(alphabet="aeiouybcdlmnrst", min_size=1, max_size=12),
+           st.lists(st.sampled_from(["\u0301", "\u0300", "\u0302"]), max_size=12))
+    def test_accents_without_diaeresis_keep_the_count(self, word, accents):
+        # Accenting vowels other than a final "e" leaves the count of the plain word.
+        accented = "".join(c + accents[i] if i < len(accents) and c in "aeiouy"
+                           and not (c == "e" and i == len(word) - 1) else c
+                           for i, c in enumerate(word))
+        assert count_syllables(unicodedata.normalize("NFC", accented)) == count_syllables(word)
 
     def test_non_alphabetic_rejected(self):
         with pytest.raises(NonAlphabetic):
