@@ -24,10 +24,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from urllib import robotparser
 from urllib.parse import urljoin, urlparse
-
-import requests
 
 from .errors import CorruptCache, EmptyAfterExtraction, IoFailure
 
@@ -87,20 +84,33 @@ class FetchFailure:
     detail: str = ""
 
 
-class RequestsTransport:
-    """Thin wrapper so tests and fixture replay can swap the network out."""
+# urllib.request and urllib.robotparser are imported where they are used:
+# audit and verify never fetch, so they should not load an HTTP client.
+class UrllibTransport:
+    """Standard-library HTTP client; tests and fixture replay swap in fakes
+    with the same ``get``."""
 
-    def __init__(self, user_agent: str = DEFAULT_USER_AGENT):
-        self.session = requests.Session()
-        self.session.max_redirects = MAX_REDIRECTS
-        self.session.headers["User-Agent"] = user_agent
+    def __init__(self):
+        from urllib.request import HTTPRedirectHandler, build_opener
+        redirects = HTTPRedirectHandler()
+        redirects.max_redirections = MAX_REDIRECTS
+        self.opener = build_opener(redirects)
+        self.opener.addheaders = [("User-Agent", DEFAULT_USER_AGENT)]
 
     def get(self, url: str, timeout: float):
-        resp = self.session.get(url, timeout=timeout, allow_redirects=True)
-        return resp.status_code, resp.headers.get("Content-Type", ""), resp.content, resp.url
+        """(status, content type, body, final URL). A 4xx/5xx response, or a
+        redirect past MAX_REDIRECTS, comes back as its status."""
+        from urllib.error import HTTPError
+        try:
+            resp = self.opener.open(url, timeout=timeout)
+        except HTTPError as exc:
+            resp = exc
+        with resp:
+            return resp.status, resp.headers.get("Content-Type", ""), resp.read(), resp.url
 
 
-def _robots_allows(url: str, transport, timeout: float, user_agent: str) -> bool:
+def _robots_allows(url: str, transport, timeout: float) -> bool:
+    from urllib.robotparser import RobotFileParser
     parsed = urlparse(url)
     robots_url = urljoin(f"{parsed.scheme}://{parsed.netloc}", "/robots.txt")
     try:
@@ -109,9 +119,9 @@ def _robots_allows(url: str, transport, timeout: float, user_agent: str) -> bool
         return True  # unreachable robots.txt does not block
     if status != 200:
         return True
-    parser = robotparser.RobotFileParser()
+    parser = RobotFileParser()
     parser.parse(body.decode("utf-8", errors="replace").splitlines())
-    return parser.can_fetch(user_agent, url)
+    return parser.can_fetch(DEFAULT_USER_AGENT, url)
 
 
 def _read_local(url: str) -> RawFetch | FetchFailure:
@@ -131,7 +141,6 @@ def fetch_policy(
     retries: int = DEFAULT_RETRIES,
     transport=None,
     respect_robots: bool = False,
-    user_agent: str = DEFAULT_USER_AGENT,
 ) -> RawFetch | FetchFailure:
     """GET a policy page. 2xx yields the body and final URL after redirects;
     anything else (HTTP errors, timeouts, DNS failures) yields FetchFailure.
@@ -141,8 +150,8 @@ def fetch_policy(
     if not urlparse(url).scheme or url.startswith("file://"):
         return _read_local(url)
     if transport is None:
-        transport = RequestsTransport(user_agent)
-    if respect_robots and not _robots_allows(url, transport, timeout, user_agent):
+        transport = UrllibTransport()
+    if respect_robots and not _robots_allows(url, transport, timeout):
         return FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=403,
                             detail="blocked by robots.txt")
     last_failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR)
@@ -224,6 +233,11 @@ class _TextExtractor(HTMLParser):
             self._link_chars += len(data.replace(" ", "").replace("\n", ""))
 
     def close(self):
+        # Input left unparsed at the end that starts with "<" is markup cut
+        # off before its end (a truncated page); html.parser would flush it
+        # as text, so drop it.
+        if self.rawdata.startswith("<"):
+            self.rawdata = ""
         super().close()
         self._flush()
 

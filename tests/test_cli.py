@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import praf
 from praf.cli import main
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
@@ -194,3 +198,32 @@ class TestVerify:
     def test_unknown_flag_exit_2(self, runner):
         result = invoke(runner, ["verify", "--bogus"])
         assert result.exit_code == 2
+
+
+# Run in a fresh interpreter, since this test process has loaded everything.
+# Only modules the run itself loads count: a site hook of the interpreter may
+# preload its own.
+_IMPORT_GUARD = """
+import json, sys
+before = set(sys.modules)
+from praf.cli import main
+for args in (["audit", "--out", sys.argv[1]], ["verify"]):
+    try:
+        main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_audit_and_verify_load_no_http_client(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PRAF_CACHE"}
+    src = str(Path(praf.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification: PASS" in proc.stdout
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    http_stack = {"requests", "urllib3", "urllib.request", "urllib.robotparser", "http.client"}
+    assert loaded & http_stack == set()

@@ -1,4 +1,9 @@
+import os
+import socket
+import threading
+from collections import Counter
 from datetime import datetime, timezone
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -6,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
 from praf.ingest import (
+    DEFAULT_USER_AGENT,
     FetchFailure,
     InaccessibleReason,
     PolicyDocument,
     RawFetch,
+    UrllibTransport,
     cache_get,
     cache_put,
     document_from_fetch,
@@ -103,6 +110,19 @@ class TestExtractText:
         raw = b"<p>Before.</p><![foo bar]><p>After.</p><![<!x>"
         assert extract_text(raw, "text/html") == "Before.\nAfter."
 
+    @pytest.mark.parametrize("raw, expected", [
+        (b'<p>Before.</p><div class="x', "Before."),
+        (b"<p>Before.</p></p", "Before."),
+        (b"<p>Before.</p><!-- open", "Before."),
+        (b"<p>Before.</p><![CDATA[x", "Before."),
+        (b"<p>Before.</p><?xml v", "Before."),
+        (b"<p>Cut mid sentence <b", "Cut mid sentence"),
+        (b"<p>Keep x < y here.</p>", "Keep x < y here."),
+        (b"<p>Keep x < y", "Keep x < y"),
+    ])
+    def test_markup_cut_off_at_the_end_is_dropped(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.binary(), _MARKUP), _CHARSETS, st.sampled_from(["text/html", "text/plain", ""]))
     def test_raises_nothing_but_empty_after_extraction(self, raw, charset, media):
@@ -185,6 +205,99 @@ class TestFetchPolicy:
 
     def test_local_file_missing(self, tmp_path):
         out = fetch_policy(str(tmp_path / "absent.html"))
+        assert isinstance(out, FetchFailure)
+        assert out.reason is InaccessibleReason.NETWORK_ERROR
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Routes: /hop/N redirects N times before the page, /missing is a 404,
+    /busy a 503, /robots.txt disallows /private; anything else is a page."""
+
+    def do_GET(self):
+        self.server.hits[self.path] += 1
+        self.server.user_agents.append(self.headers.get("User-Agent"))
+        if self.path.startswith("/hop/") and self.path != "/hop/0":
+            hops = int(self.path.rsplit("/", 1)[1])
+            self._reply(302, b"", location=f"/hop/{hops - 1}")
+        elif self.path == "/missing":
+            self._reply(404, b"gone", "text/plain")
+        elif self.path == "/busy":
+            self._reply(503, b"busy", "text/plain")
+        elif self.path == "/robots.txt":
+            self._reply(200, b"User-agent: *\nDisallow: /private\n", "text/plain")
+        else:
+            self._reply(200, b"<p>Policy page.</p>", "text/html; charset=utf-8")
+
+    def _reply(self, status, body, content_type="text/html", location=None):
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if location:
+            self.send_header("Location", location)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def server(monkeypatch):
+    """A loopback HTTP server; its base URL is ``server.base``."""
+    for name in [n for n in os.environ if n.lower().endswith("_proxy")]:
+        monkeypatch.delenv(name)  # loopback requests must not go to a proxy
+    monkeypatch.setattr("praf.ingest.time.sleep", lambda s: None)
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    srv.hits = Counter()
+    srv.user_agents = []
+    srv.base = f"http://127.0.0.1:{srv.server_address[1]}"
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestUrllibTransport:
+    def test_five_redirects_reach_the_page(self, server):
+        out = fetch_policy(f"{server.base}/hop/5", timeout=5)
+        assert isinstance(out, RawFetch)
+        assert out.final_url == f"{server.base}/hop/0"
+        assert out.body == b"<p>Policy page.</p>"
+
+    def test_sixth_redirect_is_http_error_not_retried(self, server):
+        out = fetch_policy(f"{server.base}/hop/6", timeout=5, retries=2)
+        assert out == FetchFailure(f"{server.base}/hop/6", InaccessibleReason.HTTP_ERROR, status=302)
+        assert server.hits["/hop/6"] == 1
+
+    def test_404_comes_back_as_status_with_body(self, server):
+        url = f"{server.base}/missing"
+        assert UrllibTransport().get(url, 5) == (404, "text/plain", b"gone", url)
+
+    def test_503_is_retried(self, server):
+        out = fetch_policy(f"{server.base}/busy", timeout=5, retries=2)
+        assert out == FetchFailure(f"{server.base}/busy", InaccessibleReason.HTTP_ERROR, status=503)
+        assert server.hits["/busy"] == 3
+
+    def test_sends_user_agent_and_returns_content_type(self, server):
+        out = fetch_policy(f"{server.base}/page", timeout=5)
+        assert out.content_type == "text/html; charset=utf-8"
+        assert server.user_agents == [DEFAULT_USER_AGENT]
+
+    def test_robots_txt_blocks_a_disallowed_path(self, server):
+        out = fetch_policy(f"{server.base}/private", timeout=5, respect_robots=True)
+        assert isinstance(out, FetchFailure) and out.status == 403
+        assert isinstance(fetch_policy(f"{server.base}/page", timeout=5, respect_robots=True),
+                          RawFetch)
+        assert server.hits["/private"] == 0
+
+    def test_refused_connection_is_network_error(self, server):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        out = fetch_policy(f"http://127.0.0.1:{port}/p", timeout=5, retries=1)
         assert isinstance(out, FetchFailure)
         assert out.reason is InaccessibleReason.NETWORK_ERROR
 

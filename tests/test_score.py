@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from praf.detect import DetectionDimension as Dim, Finding, Verdict
 from praf.errors import MissingReadability
-from praf.readability import ReadabilityResult
+from praf.readability import SMOG_INTERCEPT, ReadabilityBand, ReadabilityResult, readability_points
 from praf.score import (
+    ELEMENTS,
     PrafProfile,
     ScoringInput,
     score_app,
@@ -31,6 +33,10 @@ def make_input(app="T1", accessible=True, grade=13.0, **verdicts) -> ScoringInpu
 
 
 INACCESSIBLE = ScoringInput(app="T0", accessible=False, findings={})
+
+# Element scales of an accessible policy, as the rubric states them.
+RUBRIC_RANGES = {"regulatory": (1, 4), "security": (3, 6), "usability": (4, 12),
+                 "min_retention": (2, 4), "third_party": (1, 2)}
 
 
 class TestRegulatory:
@@ -168,3 +174,18 @@ class TestScoreApp:
         findings = {dim: Finding(dim, NO) for dim in Dim}
         with pytest.raises(MissingReadability):
             ScoringInput(app="X", accessible=True, findings=findings, readability=None)
+
+    @settings(max_examples=1000)
+    @given(st.fixed_dictionaries({dim: st.sampled_from(Verdict) for dim in Dim}),
+           st.sampled_from(ReadabilityBand))
+    def test_scores_stay_within_rubric_bounds(self, verdicts, band):
+        findings = {dim: Finding(dim, v, manual=True) for dim, v in verdicts.items()}
+        readability = ReadabilityResult(SMOG_INTERCEPT, 0, 0, band, readability_points(band))
+        profile = score_app(ScoringInput("T1", True, findings, readability))
+        for element, (low, high) in RUBRIC_RANGES.items():
+            assert low <= getattr(profile, element) <= high
+        for element in ELEMENTS:
+            assert getattr(profile, element.field) <= element.ceiling
+        assert profile.overall <= 28
+        closed = score_app(ScoringInput("T0", False, findings))
+        assert set(closed.elements().values()) == {0} and closed.overall == 0
