@@ -4,7 +4,8 @@ Fetching never raises for network problems; failures come back as
 :class:`FetchFailure` and end up as inaccessible documents. Extraction is a
 pure function from response bytes to plain text: markup, scripts, styles and
 boilerplate (nav/header/footer/aside, link-dominated blocks) are dropped,
-block boundaries become newlines, and whitespace inside lines is collapsed.
+block boundaries and the lines of a <pre> become newlines, a line wrap inside
+any other block becomes a space, and whitespace inside lines is collapsed.
 The cache holds one JSON file per URL hash with the full serialized document;
 writes are atomic so concurrent readers never see torn files.
 """
@@ -18,7 +19,6 @@ import os
 import re
 import tempfile
 import time
-import unicodedata
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -40,6 +40,7 @@ class InaccessibleReason(Enum):
     EMPTY_AFTER_EXTRACTION = "empty_after_extraction"
     NO_URL = "no_url"
     NO_CACHE = "no_cache"
+    ROBOTS_BLOCKED = "robots_blocked"
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def fetch_policy(
     if transport is None:
         transport = UrllibTransport()
     if respect_robots and not _robots_allows(url, transport, timeout):
-        return FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=403,
+        return FetchFailure(url, InaccessibleReason.ROBOTS_BLOCKED,
                             detail="blocked by robots.txt")
     last_failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR)
     for attempt in range(retries + 1):
@@ -190,9 +191,10 @@ class _TextExtractor(HTMLParser):
         self._link_chars = 0
         self._skip_depth = 0
         self._anchor_depth = 0
+        self._pre_depth = 0
 
     def _flush(self):
-        text = _collapse(" ".join(self._parts))
+        text = _normalize_plain(" ".join(self._parts))
         self._parts = []
         link_chars = self._link_chars
         self._link_chars = 0
@@ -211,6 +213,8 @@ class _TextExtractor(HTMLParser):
             return
         if tag == "a":
             self._anchor_depth += 1
+        elif tag == "pre":
+            self._pre_depth += 1
         if tag in _BLOCK_TAGS or tag == "br":
             self._flush()
 
@@ -222,12 +226,16 @@ class _TextExtractor(HTMLParser):
             return
         if tag == "a":
             self._anchor_depth = max(0, self._anchor_depth - 1)
+        elif tag == "pre":
+            self._pre_depth = max(0, self._pre_depth - 1)
         if tag in _BLOCK_TAGS:
             self._flush()
 
     def handle_data(self, data):
         if self._skip_depth or not data:
             return
+        if not self._pre_depth:
+            data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
         self._parts.append(data)
         if self._anchor_depth:
             self._link_chars += len(data.replace(" ", "").replace("\n", ""))
@@ -250,26 +258,28 @@ class _TextExtractor(HTMLParser):
             return self.parse_bogus_comment(i, report)
 
 
-_WS_RE = re.compile(r"[ \t\f\v]+")
+_BLANKS = str.maketrans("\t\v\f", "   ")
+_SPACES_RE = re.compile(" {2,}")
 
 
 def _collapse(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
+    return _SPACES_RE.sub(" ", text.translate(_BLANKS)).strip()
+
+
+# General category Cc is exactly U+0000-U+001F and U+007F-U+009F, a set the
+# Unicode stability policy keeps fixed, so the table is built from those
+# ranges rather than by scanning every code point. Tab, VT and FF become a
+# space and CR a newline; the other controls and the zero-width characters
+# are dropped.
+_CONTROL = dict.fromkeys([*range(0x0A), *range(0x0B, 0x20), *range(0x7F, 0xA0),
+                          0x200B, 0x200C, 0x200D, 0xFEFF])
+_CONTROL.update(str.maketrans("\t\v\f\r", "   \n"))
 
 
 def _strip_control(text: str) -> str:
-    """Drop zero-width and control characters, keeping newlines."""
-    out = []
-    for ch in text:
-        if ch == "\n":
-            out.append(ch)
-        elif ch in "​‌‍﻿":
-            continue
-        elif unicodedata.category(ch) == "Cc":
-            continue
-        else:
-            out.append(ch)
-    return "".join(out)
+    """Drop zero-width and control characters, keeping newlines; CRLF and
+    lone CR become a newline, tab, VT and FF a space."""
+    return text.replace("\r\n", "\n").translate(_CONTROL)
 
 
 def _decode(raw: bytes, content_type: str) -> str:
@@ -282,7 +292,6 @@ def _decode(raw: bytes, content_type: str) -> str:
 
 
 def _normalize_plain(text: str) -> str:
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [_collapse(line) for line in text.split("\n")]
     return "\n".join(line for line in lines if line)
 

@@ -1,6 +1,9 @@
 import os
+import re
 import socket
+import sys
 import threading
+import unicodedata
 from collections import Counter
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
 from praf.ingest import (
     DEFAULT_USER_AGENT,
@@ -17,12 +21,16 @@ from praf.ingest import (
     PolicyDocument,
     RawFetch,
     UrllibTransport,
+    _CONTROL,
+    _collapse,
+    _strip_control,
     cache_get,
     cache_put,
     document_from_fetch,
     extract_text,
     fetch_policy,
 )
+from praf.readability import sentence_spans
 
 DATA = Path(__file__).parent / "data"
 TS = datetime(2025, 1, 15, tzinfo=timezone.utc)
@@ -53,6 +61,102 @@ _MARKUP = st.lists(st.one_of(st.binary(max_size=8), st.sampled_from([
 _CHARSETS = st.one_of(st.none(), st.sampled_from([
     "utf-8", "latin-1", "utf-16", "idna", "punycode", "rot13", "undefined", "no-such-charset",
 ]))
+
+
+_ZERO_WIDTH = "\u200b\u200c\u200d\ufeff"
+
+
+def _strip_control_reference(text):
+    """The per-character loop that preceded the translate table, run after
+    CRLF and CR become a newline and tab, VT and FF a space."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n").translate({9: 32, 11: 32, 12: 32})
+    out = []
+    for ch in text:
+        if ch == "\n":
+            out.append(ch)
+        elif ch in _ZERO_WIDTH:
+            continue
+        elif unicodedata.category(ch) == "Cc":
+            continue
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _collapse_reference(text):
+    return re.sub(r"[ \t\f\v]+", " ", text).strip()
+
+
+# Text dense in the whitespace, control and zero-width characters the
+# extraction treats specially.
+_CONTROL_TEXT = st.text(st.one_of(
+    st.sampled_from(list(" \t\n\r\v\f\x00\x1c\x1f\x7f\x85\x9f\xa0\u2028\u3000" + _ZERO_WIDTH)),
+    st.characters(),
+), max_size=40)
+
+
+def _verdicts(text):
+    return {f.dimension: f.verdict for f in detect_all(text, load_rules(default_rules_path()))}
+
+
+class TestControlCharacters:
+    def test_table_changes_exactly_the_control_and_zero_width_characters(self):
+        changed = {}
+        for cp in range(sys.maxunicode + 1):
+            out = chr(cp).translate(_CONTROL)
+            if out != chr(cp):
+                changed[cp] = out
+        expected = {cp: "" for cp in range(sys.maxunicode + 1)
+                    if unicodedata.category(chr(cp)) == "Cc" or chr(cp) in _ZERO_WIDTH}
+        expected.update({9: " ", 11: " ", 12: " ", 13: "\n"})
+        del expected[10]
+        assert changed == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CONTROL_TEXT)
+    def test_strip_control_matches_the_per_character_loop(self, text):
+        assert _strip_control(text) == _strip_control_reference(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CONTROL_TEXT)
+    def test_collapse_matches_the_whitespace_class_substitution(self, text):
+        assert _collapse(text) == _collapse_reference(text)
+
+    @pytest.mark.parametrize("raw, media, expected", [
+        (b"<p>We\tencrypt your data at rest.</p>", "text/html", "We encrypt your data at rest."),
+        (b"<p>We\x0bencrypt\x0cyour data.</p>", "text/html", "We encrypt your data."),
+        (b"<p>One\r\ntwo\rthree.</p>", "text/html", "One two three."),
+        (b"Line one.\rLine two.", "text/plain", "Line one.\nLine two."),
+        (b"Line one.\r\nLine two.\r\n", "text/plain", "Line one.\nLine two."),
+        (b"Name\tValue\x0cEnd", "text/plain", "Name Value End"),
+    ])
+    def test_whitespace_controls_separate_words(self, raw, media, expected):
+        assert extract_text(raw, media) == expected
+
+    def test_tab_separated_words_are_detected(self):
+        text = extract_text(b"<p>We\tencrypt your data at rest.</p>", "text/html")
+        assert _verdicts(text)[DetectionDimension.DATA_ENCRYPTION] is Verdict.YES
+
+    def test_wrapped_paragraph_is_one_sentence(self):
+        text = extract_text(b"<p>We will notify you of any\nsecurity breach.</p>", "text/html")
+        assert text == "We will notify you of any security breach."
+        assert len(sentence_spans(text)) == 1
+        assert _verdicts(text)[DetectionDimension.BREACH_PROTOCOL] is Verdict.YES
+
+    @pytest.mark.parametrize("raw, expected", [
+        (b"<pre>a\n  b</pre>", "a\nb"),
+        (b"<pre>\n  a\n\n\tb\n</pre>", "a\nb"),
+        (b"<p>one\ntwo <pre>a\nb</pre> three\nfour</p>", "one two\na\nb\nthree four"),
+    ])
+    def test_pre_keeps_its_lines(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    def test_bundled_fixtures_reextract_to_their_cached_text(self, fixture_codebook, fixtures_dir):
+        docs = [cache_get(fixtures_dir / "cache", rec.policy_url) for rec in fixture_codebook.records]
+        accessible = [doc for doc in docs if doc is not None and doc.accessible]
+        assert len(accessible) == 27
+        for doc in accessible:
+            assert extract_text(doc.raw, doc.content_type) == doc.text, doc.app
 
 
 class TestExtractText:
@@ -192,7 +296,7 @@ class TestFetchPolicy:
         })
         out = fetch_policy("https://x.example/p", transport=transport, respect_robots=True)
         assert isinstance(out, FetchFailure)
-        assert out.status == 403
+        assert out.reason is InaccessibleReason.ROBOTS_BLOCKED and out.status is None
 
     def test_local_file_fetch(self, tmp_path):
         page = tmp_path / "policy.html"
@@ -288,7 +392,8 @@ class TestUrllibTransport:
 
     def test_robots_txt_blocks_a_disallowed_path(self, server):
         out = fetch_policy(f"{server.base}/private", timeout=5, respect_robots=True)
-        assert isinstance(out, FetchFailure) and out.status == 403
+        assert out == FetchFailure(f"{server.base}/private", InaccessibleReason.ROBOTS_BLOCKED,
+                                   detail="blocked by robots.txt")
         assert isinstance(fetch_policy(f"{server.base}/page", timeout=5, respect_robots=True),
                           RawFetch)
         assert server.hits["/private"] == 0

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from praf.cli import main
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import default_rules_path, load_rules
-from praf.ingest import cache_get
+from praf.ingest import InaccessibleReason, cache_get
 from praf.pipeline import fetch_corpus, run_audit
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
@@ -76,6 +76,18 @@ class TestFetchCorpus:
 
     def test_empty_codebook(self, tmp_path):
         assert fetch_corpus(Codebook(), tmp_path) == []
+
+    def test_robots_block_is_recorded_as_such(self, tmp_path):
+        transport = FakeTransport({
+            "https://a1.example/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /", "https://a1.example/robots.txt"),
+            "https://a2.example/privacy": (200, "text/html", b"<p>Allowed body here.</p>", "https://a2.example/privacy"),
+        })
+        manifest = fetch_corpus(small_codebook(), tmp_path, transport=transport, respect_robots=True)
+        assert manifest[0] == {"app": "A1", "url": "https://a1.example/privacy", "cached": False,
+                               "status": "inaccessible", "reason": "robots_blocked"}
+        assert manifest[1]["status"] == "accessible"
+        cached = cache_get(tmp_path, "https://a1.example/privacy")
+        assert cached.reason is InaccessibleReason.ROBOTS_BLOCKED and cached.http_status is None
 
 
 class TestAuditPipeline:
