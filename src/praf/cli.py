@@ -30,7 +30,6 @@ from .report import (
     summarize,
     summary_to_json,
 )
-from .verify import load_reference, render_report, run_verify
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURES_DIR = DATA_DIR / "fixtures"
@@ -192,6 +191,8 @@ def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
 def verify(codebook, expected):
     """Recompute all profiles from annotations and diff them against the
     bundled reference results."""
+    # Imported here so that audit and fetch do not load the verify module.
+    from .verify import load_reference, render_report, run_verify
     cb = _load_codebook_or_fail(Path(codebook))
     try:
         reference = load_reference(expected)

@@ -234,6 +234,12 @@ class _TextExtractor(HTMLParser):
     def handle_data(self, data):
         if self._skip_depth or not data:
             return
+        # Character references are decoded only now, so a reference like
+        # "&#13;" or "&#8203;" can bring back what _strip_control took out of
+        # the page. Every character it changes is non-printable, so the cheap
+        # test spares the translate for the usual chunk that holds none.
+        if not data.replace("\n", " ").isprintable():
+            data = _strip_control(data)
         if not self._pre_depth:
             data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
         self._parts.append(data)

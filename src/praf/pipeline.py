@@ -12,7 +12,6 @@ codebook order so output is deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,6 +79,9 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
                  respect_robots: bool = False) -> list[dict]:
     """Fetch/refresh every record's policy; returns one manifest entry per app
     in codebook order. Failures are recorded per app, never raised."""
+    # Imported here: audit and verify never fetch, so they should not load
+    # concurrent.futures (and the logging it pulls in).
+    from concurrent.futures import ThreadPoolExecutor
     if not codebook.records:
         return []
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:

@@ -16,6 +16,7 @@ element of the risk rubric.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import unicodedata
@@ -241,6 +242,7 @@ def _vowel_key(c: str) -> str:
     return base.upper() if "\u0308" in marks else base
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel groups (a e i o u y, or a letter
     whose NFD base is one; a diaeresis starts a new group), minus one for a
@@ -274,9 +276,32 @@ def words(text: str) -> list[str]:
     return [w for w in _WORD_RE.findall(text) if w.isascii() or any(map(str.isalpha, w))]
 
 
+# Every ASCII byte that no word can contain (all but letters, "'" and "-")
+# maps to a space. No _WORD_RE match holds such a character or any
+# whitespace, and the regex has no anchors or lookaround, so the matches in
+# each whitespace-separated chunk of the mapped text are exactly the text's.
+# The mapping runs on UTF-8 bytes, where every byte of a non-ASCII character
+# is 0x80 or above and so stays as it is: str.translate would leave its
+# ASCII fast path on any non-ASCII text and run about 60 times slower.
+_NON_WORD = bytes.maketrans(bytes(range(128)), bytes(
+    c if chr(c).isalpha() or chr(c) in "'-" else ord(" ") for c in range(128)))
+
+
 def count_polysyllables(text: str) -> int:
-    """Words of three or more syllables; each distinct word is counted once."""
-    return sum(n for w, n in Counter(words(text)).items() if count_syllables(w) >= 3)
+    """Words of three or more syllables, as :func:`words` splits them: letters
+    of any script, joined by internal apostrophes or hyphens.
+
+    The text is mapped and split into chunks once; the word regex runs once
+    per distinct chunk, and each distinct word's syllables are counted once
+    (and memoised across calls).
+    """
+    mapped = text.encode("utf-8", "surrogatepass").translate(_NON_WORD)
+    counts: Counter[str] = Counter()
+    for chunk, n in Counter(mapped.decode("utf-8", "surrogatepass").split()).items():
+        for w in _WORD_RE.findall(chunk):
+            counts[w] += n
+    return sum(n for w, n in counts.items()
+               if (w.isascii() or any(map(str.isalpha, w))) and count_syllables(w) >= 3)
 
 
 def smog_grade(text: str | AnalyzedText) -> ReadabilityResult:

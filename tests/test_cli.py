@@ -207,7 +207,8 @@ _IMPORT_GUARD = """
 import json, sys
 before = set(sys.modules)
 from praf.cli import main
-for args in (["audit", "--out", sys.argv[1]], ["verify"]):
+for command in sys.argv[2:]:
+    args = [command, "--out", sys.argv[1]] if command == "audit" else [command]
     try:
         main(args, standalone_mode=False)
     except SystemExit as exc:
@@ -216,14 +217,25 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def test_audit_and_verify_load_no_http_client(tmp_path):
+def _run_fresh(tmp_path, *commands):
+    """(stdout, modules loaded) of ``commands`` run in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "PRAF_CACHE"}
     src = str(Path(praf.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out"), *commands],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "verification: PASS" in proc.stdout
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout, set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_audit_and_verify_load_no_http_client(tmp_path):
+    stdout, loaded = _run_fresh(tmp_path, "audit", "verify")
+    assert "verification: PASS" in stdout
     http_stack = {"requests", "urllib3", "urllib.request", "urllib.robotparser", "http.client"}
     assert loaded & http_stack == set()
+
+
+def test_audit_loads_no_fetch_or_verify_module(tmp_path):
+    _, loaded = _run_fresh(tmp_path, "audit")
+    assert "praf.pipeline" in loaded
+    assert loaded & {"concurrent.futures", "praf.verify"} == set()

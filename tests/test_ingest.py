@@ -111,6 +111,8 @@ class TestControlCharacters:
         expected.update({9: " ", 11: " ", 12: " ", 13: "\n"})
         del expected[10]
         assert changed == expected
+        # _TextExtractor.handle_data strips only chunks that are not printable.
+        assert not any(chr(cp).isprintable() for cp in changed)
 
     @settings(max_examples=500, deadline=None)
     @given(_CONTROL_TEXT)
@@ -149,6 +151,16 @@ class TestControlCharacters:
         (b"<p>one\ntwo <pre>a\nb</pre> three\nfour</p>", "one two\na\nb\nthree four"),
     ])
     def test_pre_keeps_its_lines(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    @pytest.mark.parametrize("raw, expected", [
+        (b"<p>Data is kept.&#13;We encrypt it&#8203;all.</p>", "Data is kept. We encrypt itall."),
+        (b"<p>We&#9;encrypt your&#12;data.</p>", "We encrypt your data."),
+        (b"<p>Kept &#13;&#10; here&#xFEFF;.</p>", "Kept here."),
+        (b"<pre>Line one.&#13;Line two.&#13;&#10;Line three.</pre>",
+         "Line one.\nLine two.\nLine three."),
+    ])
+    def test_character_references_to_controls_are_stripped(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
 
     def test_bundled_fixtures_reextract_to_their_cached_text(self, fixture_codebook, fixtures_dir):

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import string
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -184,6 +186,25 @@ class TestSyllables:
     def test_polysyllables_counted_once_per_distinct_word(self, tokens):
         text = " ".join(tokens)
         assert count_polysyllables(text) == sum(1 for w in words(text) if count_syllables(w) >= 3)
+
+    # Characters on either side of the ASCII word/non-word line, Unicode
+    # letters, marks and numerics, and the whitespace str.split() splits on.
+    _CHUNK_ALPHABET = (string.ascii_letters + string.digits + "_'\u2019-\u00bd\u00b2\u00e9\u00ef"
+                       "\u0131\u0130\u017f\u212a\u0308\u6f22 \t\n\u00a0\x1c\u2028.")
+
+    # Whole syllables make words of three or more likely.
+    _CHUNK_PIECES = st.lists(st.one_of(st.sampled_from(_CHUNK_ALPHABET),
+                                       st.sampled_from(["ba", "na", "tion", "ia", "\u00e9"])),
+                             max_size=60).map("".join)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CHUNK_PIECES)
+    @example("ba'ba'ba ba-ba-ba ba\u2019ba\u2019ba -banana- 'banana' anonymous_anonymous2anonymous")
+    @example("ba\ud800ba'ba'ba \ud800ba'ba'ba\udfff")
+    @example("Anonymization,\u00a0re-identification.\u2028Na\u00efvet\u00e9\u2019s \u0130ndia\u212aa\u0308")
+    def test_chunked_count_equals_count_over_words(self, text):
+        assert count_polysyllables(text) == sum(
+            n for w, n in Counter(words(text)).items() if count_syllables(w) >= 3)
 
     def test_dictionary_fixture_agreement(self):
         fixture = json.loads((DATA / "syllable_words.json").read_text())["words"]
