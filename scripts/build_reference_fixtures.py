@@ -17,7 +17,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from praf.detect import DIMENSIONS, Finding, Verdict
 from praf.readability import ReadabilityResult, band
-from praf.score import ScoringInput, score_app
+from praf.score import score_app
 
 FIXTURES = ROOT / "src" / "praf" / "data" / "fixtures"
 
@@ -126,23 +126,14 @@ def self_check(rows) -> None:
     waived = {(w["pseudonym"], w["field"]): w for w in WAIVERS}
     for (pseudonym, _, marks, smog, level, *scores) in rows:
         reg, sec, usab, minret, tp, overall = scores
-        verdicts = verdicts_for(marks)
-        accessible = smog is not None
-        if accessible:
+        readability = None
+        if smog is not None:
             assert band(smog).code == level, f"{pseudonym}: band mismatch"
-        findings = {d: Finding(d, Verdict(v), manual=True) for d, v in verdicts.items()}
-        inp = ScoringInput(
-            app=pseudonym,
-            accessible=accessible,
-            findings=findings,
-            readability=ReadabilityResult.from_grade(smog) if accessible else None,
-        )
-        profile = score_app(inp)
-        computed = {
-            "regulatory": profile.regulatory, "security": profile.security,
-            "usability": profile.usability, "min_retention": profile.min_retention,
-            "third_party": profile.third_party, "overall": profile.overall,
-        }
+            readability = ReadabilityResult.from_grade(smog)
+        findings = {d: Finding(d, Verdict(v), manual=True)
+                    for d, v in verdicts_for(marks).items()}
+        profile = score_app(pseudonym, findings, readability)
+        computed = {**profile.elements(), "overall": profile.overall}
         published = {
             "regulatory": reg, "security": sec, "usability": usab,
             "min_retention": minret, "third_party": tp, "overall": overall,

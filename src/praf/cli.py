@@ -195,11 +195,7 @@ def verify(codebook, expected):
     from .verify import load_reference, render_report, run_verify
     cb = _load_codebook_or_fail(Path(codebook))
     try:
-        reference = load_reference(expected)
-    except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        report = run_verify(cb, reference)
+        report = run_verify(cb, load_reference(expected))
     except PrafError as exc:
         _fail(EXIT_CONFIG, str(exc))
     click.echo(render_report(report), nl=False)

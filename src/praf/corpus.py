@@ -150,8 +150,11 @@ def _parse_record(obj, locator: str) -> AppRecord:
 def _parse_annotation(obj, locator: str) -> AnnotationSet:
     if not isinstance(obj, dict):
         raise MalformedCodebook("annotation must be an object", locator)
+    raw_overrides = obj.get("overrides", {})
+    if not isinstance(raw_overrides, dict):
+        raise MalformedCodebook("overrides must be an object", locator)
     overrides: dict[DetectionDimension, Verdict] = {}
-    for key, value in obj.get("overrides", {}).items():
+    for key, value in raw_overrides.items():
         try:
             dim = DetectionDimension(key)
         except ValueError:
@@ -161,6 +164,8 @@ def _parse_annotation(obj, locator: str) -> AnnotationSet:
         except ValueError:
             raise MalformedCodebook(f"invalid verdict {value!r} for {key}", locator) from None
     raw_ts = obj.get("timestamp", "1970-01-01T00:00:00+00:00")
+    if not isinstance(raw_ts, str):
+        raise MalformedCodebook(f"bad timestamp {raw_ts!r}", locator)
     try:
         timestamp = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
     except ValueError:
@@ -181,7 +186,7 @@ def load_codebook(path: str | Path) -> Codebook:
         raise MissingFile(f"codebook not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise MalformedCodebook(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "records" not in data:
         raise MalformedCodebook(f"{path} must be an object with a 'records' array")

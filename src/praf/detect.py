@@ -270,7 +270,7 @@ def load_rules(path: str | Path) -> RuleSet:
         raise MissingFile(f"rules file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise MalformedRules(f"rules file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedRules(f"rules file {path} must hold an object")
@@ -285,11 +285,13 @@ def load_rules(path: str | Path) -> RuleSet:
         strong = spec.get("strong", [])
         weak = spec.get("weak", [])
         thresholds = spec.get("thresholds", {})
-        if not isinstance(strong, list) or not isinstance(weak, list):
-            raise MalformedRules(f"dimension {key}: strong/weak must be lists")
-        patterns = []
-        for i, raw in enumerate(strong + weak):
-            patterns.append(compile_pattern(raw, f"{key}:{i}"))
+        if not (isinstance(strong, list) and isinstance(weak, list)
+                and all(isinstance(raw, str) for raw in strong + weak)):
+            raise MalformedRules(f"dimension {key}: strong/weak must be lists of strings")
+        if not (isinstance(thresholds, dict)
+                and all(isinstance(v, (int, float)) for v in thresholds.values())):
+            raise MalformedRules(f"dimension {key}: thresholds must be an object of numbers")
+        patterns = [compile_pattern(raw, f"{key}:{i}") for i, raw in enumerate(strong + weak)]
         n_strong = len(strong)
         by_dim[dim] = DimensionRules(
             strong=tuple(patterns[:n_strong]),

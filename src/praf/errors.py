@@ -49,9 +49,5 @@ class UnknownDimension(PrafError):
     """Annotation override names a dimension absent from the findings."""
 
 
-class MissingReadability(PrafError):
-    """Usability scoring requires a readability result for accessible policies."""
-
-
 class EmptyCorpus(PrafError):
     """Summary statistics need at least one profile."""

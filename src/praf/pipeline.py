@@ -34,7 +34,7 @@ from .ingest import (
     fetch_policy,
 )
 from .readability import ReadabilityResult, analyze, smog_grade
-from .score import PrafProfile, ScoringInput, score_app
+from .score import PrafProfile, score_app
 
 DEFAULT_JOBS = 4
 
@@ -153,18 +153,12 @@ def audit_from_findings(record: AppRecord, detected: list[Finding],
     """Apply the annotation overrides to the detected findings and score the
     app; it counts as accessible exactly when it has a readability result."""
     findings = {f.dimension: f for f in apply_overrides(detected, overrides)}
-    inp = ScoringInput(
-        app=record.pseudonym,
-        accessible=readability is not None,
-        findings=findings,
-        readability=readability,
-    )
     return AppAudit(
         record=record,
         findings=findings,
         detected={f.dimension: f for f in detected},
         readability=readability,
-        profile=score_app(inp),
+        profile=score_app(record.pseudonym, findings, readability),
         text=text,
     )
 

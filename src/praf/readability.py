@@ -11,7 +11,8 @@ The grade uses the standard SMOG regression
 where a polysyllable is a word of three or more syllables. The 30-sentence
 normalization makes the grade length-independent. Grades map onto six
 difficulty bands, which convert to the 1..6 points used by the usability
-element of the risk rubric.
+element of the risk rubric. A :class:`ReadabilityResult` stores only the grade
+and its counts; its band and points are worked out from the grade.
 """
 
 from __future__ import annotations
@@ -77,12 +78,8 @@ class ReadabilityResult:
     smog_grade: float
     sentence_count: int
     polysyllable_count: int
-    band: ReadabilityBand
-    points: int
 
     def __post_init__(self):
-        if self.points != readability_points(self.band):
-            raise ValueError("points do not match band")
         if self.smog_grade < SMOG_INTERCEPT - 1e-9:
             raise ValueError("SMOG grade below formula intercept")
         if self.sentence_count > 0:
@@ -90,17 +87,18 @@ class ReadabilityResult:
             if abs(expected - self.smog_grade) > 1e-9:
                 raise ValueError("grade inconsistent with counts")
 
+    @property
+    def band(self) -> ReadabilityBand:
+        return band(self.smog_grade)
+
+    @property
+    def points(self) -> int:
+        return readability_points(self.band)
+
     @classmethod
     def from_grade(cls, grade: float) -> "ReadabilityResult":
         """Wrap a pre-computed grade (e.g. reference data) without counts."""
-        b = band(grade)
-        return cls(
-            smog_grade=float(grade),
-            sentence_count=0,
-            polysyllable_count=0,
-            band=b,
-            points=readability_points(b),
-        )
+        return cls(smog_grade=float(grade), sentence_count=0, polysyllable_count=0)
 
 
 def smog_from_counts(sentences: int, polysyllables: int) -> float:
@@ -311,12 +309,8 @@ def smog_grade(text: str | AnalyzedText) -> ReadabilityResult:
     if not sentences:
         raise NoSentences("no sentences in text")
     poly = count_polysyllables(doc.text)
-    grade = smog_from_counts(len(sentences), poly)
-    b = band(grade)
     return ReadabilityResult(
-        smog_grade=grade,
+        smog_grade=smog_from_counts(len(sentences), poly),
         sentence_count=len(sentences),
         polysyllable_count=poly,
-        band=b,
-        points=readability_points(b),
     )

@@ -207,16 +207,15 @@ def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
         name = f"{record.pseudonym} ({record.real_name})"
     lines = [f"# {name}", ""]
     lines.append(f"Category: {record.category.value}")
-    if profile.overall == 0:
+    if not audit.accessible:
         lines.append("Policy: inaccessible; every element scores 0.")
         lines.append(f"Overall risk score: {profile.overall} / 28")
         return "\n".join(lines) + "\n"
     lines.append(f"Policy source: {record.policy_url or 'n/a'}")
-    if readability is not None:
-        lines.append(
-            f"Readability: SMOG {_fmt_grade(round(readability.smog_grade, 1))} "
-            f"({readability.band.label}, {readability.points} points)"
-        )
+    lines.append(
+        f"Readability: SMOG {_fmt_grade(round(readability.smog_grade, 1))} "
+        f"({readability.band.label}, {readability.points} points)"
+    )
     lines.append(f"Overall risk score: {profile.overall} / 28")
     lines.append("")
 

@@ -1,9 +1,10 @@
-"""Five-element privacy risk scoring.
+"""Five-element privacy risk scoring from an app's findings and readability.
 
 Element scales (accessible policies):
   regulatory 1..4, security 3..6, usability 4..12, minimization/retention 2..4,
-  third-party 1..2. An inaccessible policy scores zero on every element.
-The overall risk score is the plain sum of the five elements (max 28).
+  third-party 1..2. A policy without a readability result is inaccessible and
+  :func:`score_app` scores it zero on every element. The overall risk score is
+  the plain sum of the five elements (max 28), derived rather than stored.
 
 :data:`ELEMENTS` is the one table of the elements' names, matrix columns,
 labels and ceilings; which dimensions feed each element is recorded in
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .detect import DetectionDimension as Dim, Finding, Verdict, dimensions
-from .errors import MissingReadability
 from .readability import ReadabilityResult
 
 
@@ -28,12 +28,10 @@ class PrafProfile:
     usability: int
     min_retention: int
     third_party: int
-    overall: int
 
-    def __post_init__(self):
-        if self.overall != (self.regulatory + self.security + self.usability
-                            + self.min_retention + self.third_party):
-            raise ValueError(f"{self.app}: overall is not the sum of elements")
+    @property
+    def overall(self) -> int:
+        return sum(self.elements().values())
 
     def elements(self) -> dict[str, int]:
         return {e.field: getattr(self, e.field) for e in ELEMENTS[:-1]}
@@ -59,93 +57,59 @@ ELEMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ScoringInput:
-    app: str
-    accessible: bool
-    findings: Mapping[Dim, Finding]
-    readability: ReadabilityResult | None = None
-
-    def __post_init__(self):
-        if self.accessible:
-            if self.readability is None:
-                raise MissingReadability(f"{self.app}: accessible policy needs readability")
-            missing = [d.value for d in Dim if d not in self.findings]
-            if missing:
-                raise ValueError(f"{self.app}: findings missing for {missing}")
-        elif self.readability is not None:
-            raise ValueError(f"{self.app}: inaccessible policy cannot carry readability")
-
-    def verdict(self, dim: Dim) -> Verdict:
-        return self.findings[dim].verdict
-
-
 def _present(verdict: Verdict) -> int:
     """2 points for implementation, 1 for non-implementation; partial claims
     score as non-implementation."""
     return 2 if verdict is Verdict.YES else 1
 
 
-def _present_points(inp: ScoringInput, element: str) -> int:
+def _present_points(findings: Mapping[Dim, Finding], element: str) -> int:
     """Presence points summed over every dimension that feeds the element."""
-    return sum(_present(inp.verdict(d)) for d in dimensions(element=element))
+    return sum(_present(findings[d].verdict) for d in dimensions(element=element))
 
 
-def score_regulatory(inp: ScoringInput) -> int:
-    if not inp.accessible:
-        return 0
-    hipaa = inp.verdict(Dim.HIPAA_MENTION) is Verdict.YES
-    gdpr = inp.verdict(Dim.GDPR_MENTION) is Verdict.YES
+def score_regulatory(findings: Mapping[Dim, Finding]) -> int:
+    hipaa = findings[Dim.HIPAA_MENTION].verdict is Verdict.YES
+    gdpr = findings[Dim.GDPR_MENTION].verdict is Verdict.YES
     if hipaa and gdpr:
         return 4
     if hipaa or gdpr:
         return 3
-    if inp.verdict(Dim.OTHER_REGULATION) is Verdict.YES:
+    if findings[Dim.OTHER_REGULATION].verdict is Verdict.YES:
         return 2
     return 1
 
 
-def score_security(inp: ScoringInput) -> int:
-    if not inp.accessible:
-        return 0
-    return _present_points(inp, "security")
+def score_security(findings: Mapping[Dim, Finding]) -> int:
+    return _present_points(findings, "security")
 
 
-def score_usability(inp: ScoringInput) -> int:
-    if not inp.accessible:
-        return 0
-    if inp.readability is None:
-        raise MissingReadability(f"{inp.app}: usability needs a readability result")
-    ambiguity = 2 if inp.verdict(Dim.AMBIGUOUS_LANGUAGE) is Verdict.NO else 1
-    commitments = 2 if inp.verdict(Dim.VAGUE_COMMITMENTS) is Verdict.NO else 1
-    accessibility = _present(inp.verdict(Dim.ACCESSIBILITY_ACCOMMODATIONS))
-    return inp.readability.points + ambiguity + commitments + accessibility
+def score_usability(findings: Mapping[Dim, Finding], readability: ReadabilityResult) -> int:
+    ambiguity = 2 if findings[Dim.AMBIGUOUS_LANGUAGE].verdict is Verdict.NO else 1
+    commitments = 2 if findings[Dim.VAGUE_COMMITMENTS].verdict is Verdict.NO else 1
+    accessibility = _present(findings[Dim.ACCESSIBILITY_ACCOMMODATIONS].verdict)
+    return readability.points + ambiguity + commitments + accessibility
 
 
-def score_min_retention(inp: ScoringInput) -> int:
-    if not inp.accessible:
-        return 0
-    return _present_points(inp, "min_retention")
+def score_min_retention(findings: Mapping[Dim, Finding]) -> int:
+    return _present_points(findings, "min_retention")
 
 
-def score_third_party(inp: ScoringInput) -> int:
-    if not inp.accessible:
-        return 0
-    return _present_points(inp, "third_party")
+def score_third_party(findings: Mapping[Dim, Finding]) -> int:
+    return _present_points(findings, "third_party")
 
 
-def score_app(inp: ScoringInput) -> PrafProfile:
-    regulatory = score_regulatory(inp)
-    security = score_security(inp)
-    usability = score_usability(inp)
-    min_retention = score_min_retention(inp)
-    third_party = score_third_party(inp)
+def score_app(app: str, findings: Mapping[Dim, Finding],
+              readability: ReadabilityResult | None) -> PrafProfile:
+    """All zeros for an inaccessible policy (no readability); otherwise every
+    dimension that feeds an element needs a finding (KeyError if not)."""
+    if readability is None:
+        return PrafProfile(app, 0, 0, 0, 0, 0)
     return PrafProfile(
-        app=inp.app,
-        regulatory=regulatory,
-        security=security,
-        usability=usability,
-        min_retention=min_retention,
-        third_party=third_party,
-        overall=regulatory + security + usability + min_retention + third_party,
+        app=app,
+        regulatory=score_regulatory(findings),
+        security=score_security(findings),
+        usability=score_usability(findings, readability),
+        min_retention=score_min_retention(findings),
+        third_party=score_third_party(findings),
     )

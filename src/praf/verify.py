@@ -57,7 +57,10 @@ def load_reference(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingFile(f"reference results not found: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise PrafError(f"reference results {path} are not valid JSON: {exc}") from exc
 
 
 def reference_audits(codebook: Codebook, reference: dict) -> list[AppAudit]:

@@ -25,7 +25,7 @@ from praf.detect import (
 from praf.ingest import cache_get
 from praf.readability import ReadabilityResult, band, smog_from_counts
 from praf.report import parse_matrix, summarize
-from praf.score import ScoringInput, score_app, score_min_retention, score_security
+from praf.score import score_app, score_min_retention, score_security
 from praf.verify import reference_audits, run_verify
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
@@ -167,21 +167,20 @@ BOUNDS = {
 }
 
 
-def _random_input(rng: random.Random, accessible: bool) -> ScoringInput:
+def _random_input(rng: random.Random, accessible: bool) -> tuple[dict, ReadabilityResult | None]:
     findings = {dim: Finding(dim, rng.choice([YES, PARTIAL, NO]), manual=True) for dim in Dim}
     readability = None
     if accessible:
         readability = ReadabilityResult.from_grade(rng.uniform(3.2, 20.0))
-    return ScoringInput(app="R1", accessible=accessible, findings=findings,
-                        readability=readability)
+    return findings, readability
 
 
 def test_criterion_5_scoring_property_suite():
     rng = random.Random(777)
     for case in range(10_000):
         accessible = case % 10 != 0
-        inp = _random_input(rng, accessible)
-        profile = score_app(inp)
+        findings, readability = _random_input(rng, accessible)
+        profile = score_app("R1", findings, readability)
         elements = profile.elements()
         assert profile.overall == sum(elements.values())
         if not accessible:
@@ -194,14 +193,12 @@ def test_criterion_5_scoring_property_suite():
         # dimensions. Ambiguity and vagueness are defect dimensions: the
         # rubric awards clarity points for their absence, so a no -> yes flip
         # there lowers usability by exactly one point and touches nothing else.
-        no_dims = [d for d in Dim if inp.findings[d].verdict is NO]
+        no_dims = [d for d in Dim if findings[d].verdict is NO]
         if no_dims:
             flip = rng.choice(no_dims)
-            flipped = dict(inp.findings)
+            flipped = dict(findings)
             flipped[flip] = Finding(flip, YES, manual=True)
-            flipped_profile = score_app(ScoringInput(
-                app="R1", accessible=True, findings=flipped, readability=inp.readability,
-            ))
+            flipped_profile = score_app("R1", flipped, readability)
             defect_dim = flip in (Dim.AMBIGUOUS_LANGUAGE, Dim.VAGUE_COMMITMENTS)
             for name in elements:
                 if defect_dim and name == "usability":
@@ -212,7 +209,6 @@ def test_criterion_5_scoring_property_suite():
                 assert flipped_profile.overall >= profile.overall
 
     # brute-force oracle over all 3^5 combinations of the five presence criteria
-    readability = ReadabilityResult.from_grade(12.0)
     verdict_space = (YES, PARTIAL, NO)
     checked = 0
     for enc in verdict_space:
@@ -226,10 +222,8 @@ def test_criterion_5_scoring_property_suite():
                         findings[Dim.BREACH_PROTOCOL] = Finding(Dim.BREACH_PROTOCOL, breach, manual=True)
                         findings[Dim.DATA_MINIMIZATION] = Finding(Dim.DATA_MINIMIZATION, mini, manual=True)
                         findings[Dim.RETENTION_TIME] = Finding(Dim.RETENTION_TIME, ret, manual=True)
-                        inp = ScoringInput(app="R1", accessible=True, findings=findings,
-                                           readability=readability)
-                        assert score_security(inp) == SECURITY_ORACLE[(enc, acc, breach)]
-                        assert score_min_retention(inp) == MIN_RETENTION_ORACLE[(mini, ret)]
+                        assert score_security(findings) == SECURITY_ORACLE[(enc, acc, breach)]
+                        assert score_min_retention(findings) == MIN_RETENTION_ORACLE[(mini, ret)]
                         checked += 1
     assert checked == 3 ** 5
     announce(5, "10,000 randomized vectors + 3^5 brute-force oracle")

@@ -195,6 +195,14 @@ class TestVerify:
         result = invoke(runner, ["verify", "--expected", str(tmp_path / "none.json")])
         assert result.exit_code == 2
 
+    def test_expectations_not_json_exit_2_names_file(self, runner, tmp_path):
+        expected = tmp_path / "broken-reference.json"
+        expected.write_text("{not json")
+        result = invoke(runner, ["verify", "--expected", str(expected)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "broken-reference.json" in result.output
+
     def test_unknown_flag_exit_2(self, runner):
         result = invoke(runner, ["verify", "--bogus"])
         assert result.exit_code == 2

@@ -103,6 +103,12 @@ class TestPersistence:
         with pytest.raises(MissingFile):
             load_codebook(tmp_path / "absent.json")
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(MalformedCodebook, match="codebook.json"):
+            load_codebook(path)
+
     def test_duplicate_pseudonym_with_locator(self, tmp_path):
         path = tmp_path / "codebook.json"
         rec = {"pseudonym": "A3", "real_name": None, "category": "Telehealth",
@@ -135,6 +141,26 @@ class TestPersistence:
                "reviewer_note": "", "timestamp": "2024-11-01T00:00:00Z"}
         path.write_text(json.dumps({"records": [rec], "annotations": [ann]}))
         with pytest.raises(MalformedCodebook, match="maybe"):
+            load_codebook(path)
+
+    @staticmethod
+    def _write_annotation(path, **fields):
+        rec = {"pseudonym": "A1", "real_name": None, "category": "Telehealth",
+               "policy_url": None, "store_source": "other"}
+        ann = {"app": "A1", "overrides": {}, "reviewer_note": "",
+               "timestamp": "2024-11-01T00:00:00Z", **fields}
+        path.write_text(json.dumps({"records": [rec], "annotations": [ann]}))
+
+    def test_overrides_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        self._write_annotation(path, overrides=["data_encryption", "yes"])
+        with pytest.raises(MalformedCodebook, match=r"annotations\[0\]"):
+            load_codebook(path)
+
+    def test_timestamp_not_a_string_rejected(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        self._write_annotation(path, timestamp=20241101)
+        with pytest.raises(MalformedCodebook, match=r"annotations\[0\]"):
             load_codebook(path)
 
     def test_unwritable_path(self, tmp_path):

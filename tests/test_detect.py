@@ -234,6 +234,12 @@ class TestRuleLoading:
         with pytest.raises(MalformedRules):
             load_rules(p)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "rules.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(MalformedRules, match="rules.json"):
+            load_rules(p)
+
     def test_unknown_dimension_rejected(self, tmp_path):
         p = tmp_path / "rules.json"
         p.write_text(json.dumps({"made_up": {"strong": ["x"]}}))
@@ -244,6 +250,20 @@ class TestRuleLoading:
         p = tmp_path / "rules.json"
         p.write_text(json.dumps({"hipaa_mention": {"strong": ["hipaa"]}}))
         with pytest.raises(MalformedRules):
+            load_rules(p)
+
+    def test_non_string_pattern_rejected_at_load(self, tmp_path):
+        p = tmp_path / "rules.json"
+        p.write_text(json.dumps({"hipaa_mention": {"strong": [1]}}))
+        with pytest.raises(MalformedRules, match="hipaa_mention"):
+            load_rules(p)
+
+    def test_thresholds_not_an_object_rejected_at_load(self, tmp_path):
+        data = json.loads(default_rules_path().read_text())
+        data["ambiguous_language"]["thresholds"] = [0.1, 0.2]
+        p = tmp_path / "rules.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(MalformedRules, match="ambiguous_language"):
             load_rules(p)
 
     def test_no_findings_helper(self):

@@ -303,18 +303,4 @@ class TestBands:
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ReadabilityResult(
-                smog_grade=12.0,
-                sentence_count=0,
-                polysyllable_count=0,
-                band=ReadabilityBand.DIFFICULT,
-                points=5,
-            )
-        with pytest.raises(ValueError):
-            ReadabilityResult(
-                smog_grade=2.0,
-                sentence_count=0,
-                polysyllable_count=0,
-                band=ReadabilityBand.SLIGHTLY_DIFFICULT,
-                points=6,
-            )
+            ReadabilityResult(smog_grade=2.0, sentence_count=0, polysyllable_count=0)

@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from praf.detect import DetectionDimension as Dim, Finding, Verdict
-from praf.errors import MissingReadability
-from praf.readability import SMOG_INTERCEPT, ReadabilityBand, ReadabilityResult, readability_points
+from praf.readability import BAND_EDGES, SMOG_INTERCEPT, ReadabilityBand, ReadabilityResult
 from praf.score import (
     ELEMENTS,
-    PrafProfile,
-    ScoringInput,
     score_app,
     score_min_retention,
     score_regulatory,
@@ -19,20 +16,22 @@ from praf.score import (
 YES, PARTIAL, NO = Verdict.YES, Verdict.PARTIAL, Verdict.NO
 
 
-def make_input(app="T1", accessible=True, grade=13.0, **verdicts) -> ScoringInput:
-    findings = {}
-    for dim in Dim:
-        verdict = verdicts.get(dim.name.lower(), NO)
-        findings[dim] = Finding(dim, verdict, manual=True)
-    return ScoringInput(
-        app=app,
-        accessible=accessible,
-        findings=findings,
-        readability=ReadabilityResult.from_grade(grade) if accessible else None,
-    )
+def make_findings(**verdicts) -> dict:
+    """A finding for every dimension: the named verdicts, "no" for the rest."""
+    return {dim: Finding(dim, verdicts.get(dim.name.lower(), NO), manual=True) for dim in Dim}
 
 
-INACCESSIBLE = ScoringInput(app="T0", accessible=False, findings={})
+def make_input(grade=13.0, **verdicts) -> tuple[dict, ReadabilityResult]:
+    """Findings and readability of an accessible policy."""
+    return make_findings(**verdicts), ReadabilityResult.from_grade(grade)
+
+
+def score_inaccessible(**verdicts):
+    return score_app("T0", make_findings(**verdicts), None)
+
+
+# The lowest grade of each band: bands are right-open intervals of the grade.
+GRADE_PER_BAND = dict(zip(ReadabilityBand, (SMOG_INTERCEPT, *BAND_EDGES)))
 
 # Element scales of an accessible policy, as the rubric states them.
 RUBRIC_RANGES = {"regulatory": (1, 4), "security": (3, 6), "usability": (4, 12),
@@ -41,23 +40,23 @@ RUBRIC_RANGES = {"regulatory": (1, 4), "security": (3, 6), "usability": (4, 12),
 
 class TestRegulatory:
     def test_both(self):
-        assert score_regulatory(make_input(hipaa_mention=YES, gdpr_mention=YES)) == 4
+        assert score_regulatory(make_findings(hipaa_mention=YES, gdpr_mention=YES)) == 4
 
     def test_one_of_two(self):
-        assert score_regulatory(make_input(gdpr_mention=YES)) == 3
-        assert score_regulatory(make_input(hipaa_mention=YES)) == 3
+        assert score_regulatory(make_findings(gdpr_mention=YES)) == 3
+        assert score_regulatory(make_findings(hipaa_mention=YES)) == 3
 
     def test_other_only(self):
-        assert score_regulatory(make_input(other_regulation=YES)) == 2
+        assert score_regulatory(make_findings(other_regulation=YES)) == 2
 
     def test_none(self):
-        assert score_regulatory(make_input()) == 1
+        assert score_regulatory(make_findings()) == 1
 
     def test_inaccessible(self):
-        assert score_regulatory(INACCESSIBLE) == 0
+        assert score_inaccessible(hipaa_mention=YES, gdpr_mention=YES).regulatory == 0
 
     def test_partial_counts_as_absent(self):
-        assert score_regulatory(make_input(hipaa_mention=PARTIAL)) == 1
+        assert score_regulatory(make_findings(hipaa_mention=PARTIAL)) == 1
 
 
 class TestSecurity:
@@ -75,38 +74,33 @@ class TestSecurity:
     @pytest.mark.parametrize("combo,expected", list(TABLE.items()))
     def test_examples(self, combo, expected):
         enc, acc, breach = combo
-        inp = make_input(data_encryption=enc, access_controls=acc, breach_protocol=breach)
-        assert score_security(inp) == expected
+        findings = make_findings(data_encryption=enc, access_controls=acc, breach_protocol=breach)
+        assert score_security(findings) == expected
 
     def test_inaccessible(self):
-        assert score_security(INACCESSIBLE) == 0
+        profile = score_inaccessible(data_encryption=YES, access_controls=YES, breach_protocol=YES)
+        assert profile.security == 0
 
 
 class TestUsability:
     def test_very_difficult_clean_policy(self):
         inp = make_input(grade=13.0, third_party_sharing=YES)
-        assert score_usability(inp) == 2 + 2 + 2 + 1
+        assert score_usability(*inp) == 2 + 2 + 2 + 1
 
     def test_slightly_difficult(self):
         inp = make_input(grade=9.2)
-        assert score_usability(inp) == 6 + 2 + 2 + 1
+        assert score_usability(*inp) == 6 + 2 + 2 + 1
 
     def test_professional_with_partials(self):
         inp = make_input(grade=14.2, ambiguous_language=PARTIAL, vague_commitments=PARTIAL)
-        assert score_usability(inp) == 1 + 1 + 1 + 1
+        assert score_usability(*inp) == 1 + 1 + 1 + 1
 
     def test_accessibility_bonus(self):
         inp = make_input(grade=12.0, accessibility_accommodations=YES)
-        assert score_usability(inp) == 3 + 2 + 2 + 2
-
-    def test_missing_readability(self):
-        inp = make_input()
-        object.__setattr__(inp, "readability", None)
-        with pytest.raises(MissingReadability):
-            score_usability(inp)
+        assert score_usability(*inp) == 3 + 2 + 2 + 2
 
     def test_inaccessible(self):
-        assert score_usability(INACCESSIBLE) == 0
+        assert score_inaccessible(accessibility_accommodations=YES).usability == 0
 
 
 class TestMinRetention:
@@ -123,18 +117,18 @@ class TestMinRetention:
     @pytest.mark.parametrize("combo,expected", list(TABLE.items()))
     def test_examples(self, combo, expected):
         mini, ret = combo
-        assert score_min_retention(make_input(data_minimization=mini, retention_time=ret)) == expected
+        assert score_min_retention(make_findings(data_minimization=mini, retention_time=ret)) == expected
 
     def test_inaccessible(self):
-        assert score_min_retention(INACCESSIBLE) == 0
+        assert score_inaccessible(data_minimization=YES, retention_time=YES).min_retention == 0
 
 
 class TestThirdParty:
     def test_scale(self):
-        assert score_third_party(make_input(third_party_sharing=YES)) == 2
-        assert score_third_party(make_input(third_party_sharing=NO)) == 1
-        assert score_third_party(make_input(third_party_sharing=PARTIAL)) == 1
-        assert score_third_party(INACCESSIBLE) == 0
+        assert score_third_party(make_findings(third_party_sharing=YES)) == 2
+        assert score_third_party(make_findings(third_party_sharing=NO)) == 1
+        assert score_third_party(make_findings(third_party_sharing=PARTIAL)) == 1
+        assert score_inaccessible(third_party_sharing=YES).third_party == 0
 
 
 class TestScoreApp:
@@ -145,47 +139,37 @@ class TestScoreApp:
             consent_requirements=YES, retention_time=YES, breach_protocol=YES,
             third_party_sharing=YES,
         )
-        profile = score_app(inp)
+        profile = score_app("T1", *inp)
         assert (profile.regulatory, profile.security, profile.usability,
                 profile.min_retention, profile.third_party) == (4, 6, 7, 4, 2)
         assert profile.overall == 23
 
     def test_inaccessible_all_zero(self):
-        profile = score_app(INACCESSIBLE)
-        assert profile.elements() == {
-            "regulatory": 0, "security": 0, "usability": 0,
-            "min_retention": 0, "third_party": 0,
-        }
-        assert profile.overall == 0
-
-    def test_profile_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            PrafProfile("X", 4, 6, 7, 4, 2, overall=22)
+        for findings in ({}, make_findings(**{dim.name.lower(): YES for dim in Dim})):
+            profile = score_app("T0", findings, None)
+            assert profile.elements() == {
+                "regulatory": 0, "security": 0, "usability": 0,
+                "min_retention": 0, "third_party": 0,
+            }
+            assert profile.overall == 0
 
     def test_input_requires_complete_findings(self):
-        with pytest.raises(ValueError):
-            ScoringInput(
-                app="X", accessible=True,
-                findings={Dim.HIPAA_MENTION: Finding(Dim.HIPAA_MENTION, NO)},
-                readability=ReadabilityResult.from_grade(12.0),
-            )
-
-    def test_accessible_input_requires_readability(self):
-        findings = {dim: Finding(dim, NO) for dim in Dim}
-        with pytest.raises(MissingReadability):
-            ScoringInput(app="X", accessible=True, findings=findings, readability=None)
+        with pytest.raises(KeyError):
+            score_app("X", {Dim.HIPAA_MENTION: Finding(Dim.HIPAA_MENTION, NO)},
+                      ReadabilityResult.from_grade(12.0))
 
     @settings(max_examples=1000)
     @given(st.fixed_dictionaries({dim: st.sampled_from(Verdict) for dim in Dim}),
            st.sampled_from(ReadabilityBand))
     def test_scores_stay_within_rubric_bounds(self, verdicts, band):
         findings = {dim: Finding(dim, v, manual=True) for dim, v in verdicts.items()}
-        readability = ReadabilityResult(SMOG_INTERCEPT, 0, 0, band, readability_points(band))
-        profile = score_app(ScoringInput("T1", True, findings, readability))
+        readability = ReadabilityResult.from_grade(GRADE_PER_BAND[band])
+        assert readability.band is band
+        profile = score_app("T1", findings, readability)
         for element, (low, high) in RUBRIC_RANGES.items():
             assert low <= getattr(profile, element) <= high
         for element in ELEMENTS:
             assert getattr(profile, element.field) <= element.ceiling
         assert profile.overall <= 28
-        closed = score_app(ScoringInput("T0", False, findings))
+        closed = score_app("T0", findings, None)
         assert set(closed.elements().values()) == {0} and closed.overall == 0
