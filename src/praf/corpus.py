@@ -115,7 +115,9 @@ def assign_pseudonyms(entries: Sequence[RawAppEntry]) -> Codebook:
 
 # --- persistence -------------------------------------------------------------
 
-_RECORD_FIELDS = ("pseudonym", "real_name", "category", "policy_url", "store_source")
+# Every record field holds a string; True marks those that may be null.
+_RECORD_FIELDS = {"pseudonym": False, "real_name": True, "category": False,
+                  "policy_url": True, "store_source": False}
 
 
 def _parse_record(obj, locator: str) -> AppRecord:
@@ -127,6 +129,11 @@ def _parse_record(obj, locator: str) -> AppRecord:
     missing = set(_RECORD_FIELDS) - set(obj)
     if missing:
         raise MalformedCodebook(f"missing record fields {sorted(missing)}", locator)
+    for name, nullable in _RECORD_FIELDS.items():
+        value = obj[name]
+        if not (isinstance(value, str) or (nullable and value is None)):
+            kind = "a string or null" if nullable else "a string"
+            raise MalformedCodebook(f"{name} must be {kind}, not {value!r}", locator)
     try:
         category = AppCategory(obj["category"])
     except ValueError:

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urljoin, urlparse
 
@@ -175,101 +174,15 @@ def fetch_policy(
 
 # --- extraction ---------------------------------------------------------------
 
-_SKIP_TAGS = {"script", "style", "noscript", "template", "head", "nav", "header",
-              "footer", "aside"}
-_BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
-               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
-               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
-_LINK_RATIO_LIMIT = 0.5
-
-
-class _TextExtractor(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.lines: list[str] = []
-        self._parts: list[str] = []
-        self._link_chars = 0
-        self._skip_depth = 0
-        self._anchor_depth = 0
-        self._pre_depth = 0
-
-    def _flush(self):
-        text = _normalize_plain(" ".join(self._parts))
-        self._parts = []
-        link_chars = self._link_chars
-        self._link_chars = 0
-        if not text:
-            return
-        visible = len(text.replace(" ", ""))
-        if visible and link_chars / visible > _LINK_RATIO_LIMIT:
-            return  # link-dominated boilerplate block
-        self.lines.append(text)
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-            return
-        if self._skip_depth:
-            return
-        if tag == "a":
-            self._anchor_depth += 1
-        elif tag == "pre":
-            self._pre_depth += 1
-        if tag in _BLOCK_TAGS or tag == "br":
-            self._flush()
-
-    def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if self._skip_depth:
-            return
-        if tag == "a":
-            self._anchor_depth = max(0, self._anchor_depth - 1)
-        elif tag == "pre":
-            self._pre_depth = max(0, self._pre_depth - 1)
-        if tag in _BLOCK_TAGS:
-            self._flush()
-
-    def handle_data(self, data):
-        if self._skip_depth or not data:
-            return
-        # Character references are decoded only now, so a reference like
-        # "&#13;" or "&#8203;" can bring back what _strip_control took out of
-        # the page. Every character it changes is non-printable, so the cheap
-        # test spares the translate for the usual chunk that holds none.
-        if not data.replace("\n", " ").isprintable():
-            data = _strip_control(data)
-        if not self._pre_depth:
-            data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
-        self._parts.append(data)
-        if self._anchor_depth:
-            self._link_chars += len(data.replace(" ", "").replace("\n", ""))
-
-    def close(self):
-        # Input left unparsed at the end that starts with "<" is markup cut
-        # off before its end (a truncated page); html.parser would flush it
-        # as text, so drop it.
-        if self.rawdata.startswith("<"):
-            self.rawdata = ""
-        super().close()
-        self._flush()
-
-    def parse_marked_section(self, i, report=1):
-        # html.parser raises AssertionError on a "<![" that opens no known
-        # marked section; read it as a bogus comment up to ">", as browsers do.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            return self.parse_bogus_comment(i, report)
-
-
-_BLANKS = str.maketrans("\t\v\f", "   ")
 _SPACES_RE = re.compile(" {2,}")
 
 
 def _collapse(text: str) -> str:
-    return _SPACES_RE.sub(" ", text.translate(_BLANKS)).strip()
+    """One line with its runs of spaces collapsed and its ends stripped; the
+    line has been through _strip_control, so it holds no tab, VT or FF."""
+    if "  " in text:
+        text = _SPACES_RE.sub(" ", text)
+    return text.strip()
 
 
 # General category Cc is exactly U+0000-U+001F and U+007F-U+009F, a set the
@@ -298,6 +211,8 @@ def _decode(raw: bytes, content_type: str) -> str:
 
 
 def _normalize_plain(text: str) -> str:
+    if "\n" not in text:  # every block outside <pre>
+        return _collapse(text)
     lines = [_collapse(line) for line in text.split("\n")]
     return "\n".join(line for line in lines if line)
 
@@ -317,7 +232,10 @@ def extract_text(raw: bytes, content_type: str = "") -> str:
     if "text/plain" in (content_type or "").lower():
         text = _normalize_plain(decoded)
     else:
-        parser = _TextExtractor()
+        # Imported here: audit and verify never extract, so they should not
+        # load html.parser.
+        from .html_text import TextExtractor
+        parser = TextExtractor()
         parser.feed(decoded)
         parser.close()
         text = "\n".join(parser.lines)
@@ -375,7 +293,20 @@ def _doc_to_json(doc: PolicyDocument) -> dict:
     }
 
 
+# Each cache entry field and the type its JSON value must have; the fields
+# that may be null may also be absent.
+_DOC_FIELDS = {"app": str, "source": str, "raw_b64": str, "text": str, "fetched_at": str,
+               "accessible": bool, "reason": str | None, "http_status": int | None,
+               "content_type": str | None}
+
+
 def _doc_from_json(data: dict) -> PolicyDocument:
+    if not isinstance(data, dict):
+        raise TypeError(f"entry must be an object, not {type(data).__name__}")
+    for name, kind in _DOC_FIELDS.items():
+        value = data.get(name)
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be {getattr(kind, '__name__', kind)}, not {value!r}")
     return PolicyDocument(
         app=data["app"],
         source=data["source"],

@@ -1,7 +1,9 @@
 """Pipeline orchestration shared by the CLI commands.
 
 fetch: resolve each codebook record to a cached PolicyDocument (live HTTP or
-cache/offline replay) on a bounded thread pool, since fetching waits on I/O.
+cache/offline replay). Only the page requests run on a bounded thread pool,
+since they wait on the network; extraction and cache writes run on the
+calling thread.
 audit: analyse each policy once, detect and compute readability from that one
 analysis, then apply the annotation overrides and score in
 :func:`audit_from_findings`, which verify shares to score the reference
@@ -42,25 +44,6 @@ DEFAULT_JOBS = 4
 # --- fetch ---------------------------------------------------------------------
 
 
-def _fetch_one(record: AppRecord, cache_dir: Path, offline: bool,
-               transport, respect_robots: bool) -> dict:
-    app = record.pseudonym
-    url = record.policy_url
-    if not url:
-        return {"app": app, "url": None, "status": "inaccessible",
-                "reason": InaccessibleReason.NO_URL.value, "cached": False}
-    cached = cache_get(cache_dir, url)
-    if cached is not None:
-        return _manifest_entry(app, url, cached, cached=True)
-    if offline:
-        return {"app": app, "url": url, "status": "inaccessible",
-                "reason": InaccessibleReason.NO_CACHE.value, "cached": False}
-    outcome = fetch_policy(url, transport=transport, respect_robots=respect_robots)
-    doc = document_from_fetch(app, outcome)
-    cache_put(cache_dir, url, doc)
-    return _manifest_entry(app, url, doc, cached=False)
-
-
 def _manifest_entry(app: str, url: str, doc: PolicyDocument, cached: bool) -> dict:
     entry = {"app": app, "url": url, "cached": cached}
     if doc.accessible:
@@ -78,18 +61,42 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
                  jobs: int = DEFAULT_JOBS, transport=None,
                  respect_robots: bool = False) -> list[dict]:
     """Fetch/refresh every record's policy; returns one manifest entry per app
-    in codebook order. Failures are recorded per app, never raised."""
+    in codebook order. Failures are recorded per app, never raised.
+
+    Only the page requests run on the pool of ``jobs`` threads, since they
+    wait on the network; the CPU-bound steps run on the calling thread, where
+    threads would only take turns under the interpreter lock. All cache
+    lookups come first, so a corrupt entry stops the run before any request
+    is sent. Then each fetched page is extracted and written to the cache in
+    codebook order while the pool fetches the pages that follow it."""
     # Imported here: audit and verify never fetch, so they should not load
     # concurrent.futures (and the logging it pulls in).
     from concurrent.futures import ThreadPoolExecutor
-    if not codebook.records:
-        return []
+    records = codebook.records
+    cached = [cache_get(cache_dir, rec.policy_url) if rec.policy_url else None
+              for rec in records]
+    stale = [] if offline else [rec.policy_url for rec, doc in zip(records, cached)
+                                if rec.policy_url and doc is None]
+    manifest = []
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [
-            pool.submit(_fetch_one, rec, cache_dir, offline, transport, respect_robots)
-            for rec in codebook.records
-        ]
-        return [f.result() for f in futures]
+        outcomes = pool.map(
+            lambda url: fetch_policy(url, transport=transport, respect_robots=respect_robots),
+            stale)
+        for rec, doc in zip(records, cached):
+            app, url = rec.pseudonym, rec.policy_url
+            if not url:
+                manifest.append({"app": app, "url": None, "status": "inaccessible",
+                                 "reason": InaccessibleReason.NO_URL.value, "cached": False})
+            elif doc is not None:
+                manifest.append(_manifest_entry(app, url, doc, cached=True))
+            elif offline:
+                manifest.append({"app": app, "url": url, "status": "inaccessible",
+                                 "reason": InaccessibleReason.NO_CACHE.value, "cached": False})
+            else:
+                doc = document_from_fetch(app, next(outcomes))
+                cache_put(cache_dir, url, doc)
+                manifest.append(_manifest_entry(app, url, doc, cached=False))
+    return manifest
 
 
 # --- audit ---------------------------------------------------------------------

@@ -58,9 +58,15 @@ def load_reference(path: str | Path) -> dict:
     if not path.exists():
         raise MissingFile(f"reference results not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        reference = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise PrafError(f"reference results {path} are not valid JSON: {exc}") from exc
+    if not (isinstance(reference, dict) and isinstance(reference.get("apps"), list)
+            and all(isinstance(row, dict) for row in reference["apps"])
+            and isinstance(reference.get("summary"), dict)):
+        raise PrafError(f"reference results {path} must be an object with an 'apps' "
+                        "array of objects and a 'summary' object")
+    return reference
 
 
 def reference_audits(codebook: Codebook, reference: dict) -> list[AppAudit]:

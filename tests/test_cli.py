@@ -107,6 +107,33 @@ class TestAudit:
             assert result.output.startswith("error: ")
             assert entry.name in result.output
 
+    @pytest.mark.parametrize("command", ["audit", "fetch"])
+    def test_non_string_policy_url_exit_2_names_record(self, runner, tmp_path, command):
+        data = json.loads((FIXTURES / "codebook.json").read_text())
+        data["records"][2]["policy_url"] = 7
+        cb = tmp_path / "cb.json"
+        cb.write_text(json.dumps(data))
+        args = ["--out", str(tmp_path / "o")] if command == "audit" else ["--offline"]
+        result = invoke(runner, [command, "--codebook", str(cb), "--cache",
+                                 str(FIXTURES / "cache"), *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "policy_url" in result.output and "records[2]" in result.output
+
+    @pytest.mark.parametrize("command", ["audit", "fetch"])
+    def test_cache_entry_with_non_string_text_exit_2_names_file(self, runner, tmp_path, command):
+        cache = tmp_path / "cache"
+        shutil.copytree(FIXTURES / "cache", cache)
+        entry = sorted(cache.glob("*.json"))[0]
+        data = json.loads(entry.read_text())
+        data["text"] = 5
+        entry.write_text(json.dumps(data))
+        args = ["--out", str(tmp_path / "o")] if command == "audit" else ["--offline"]
+        result = invoke(runner, [command, "--cache", str(cache), *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert entry.name in result.output
+
     def test_missing_doc_and_annotations_exit_3(self, runner, tmp_path):
         cb = tmp_path / "cb.json"
         cb.write_text(json.dumps({
@@ -203,6 +230,15 @@ class TestVerify:
         assert result.output.startswith("error: ")
         assert "broken-reference.json" in result.output
 
+    @pytest.mark.parametrize("body", ["{}", "[]", '{"apps": [7], "summary": {}}'])
+    def test_expectations_of_the_wrong_shape_exit_2_names_file(self, runner, tmp_path, body):
+        expected = tmp_path / "odd-reference.json"
+        expected.write_text(body)
+        result = invoke(runner, ["verify", "--expected", str(expected)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert "odd-reference.json" in result.output
+
     def test_unknown_flag_exit_2(self, runner):
         result = invoke(runner, ["verify", "--bogus"])
         assert result.exit_code == 2
@@ -246,4 +282,4 @@ def test_audit_and_verify_load_no_http_client(tmp_path):
 def test_audit_loads_no_fetch_or_verify_module(tmp_path):
     _, loaded = _run_fresh(tmp_path, "audit")
     assert "praf.pipeline" in loaded
-    assert loaded & {"concurrent.futures", "praf.verify"} == set()
+    assert loaded & {"concurrent.futures", "praf.verify", "html.parser"} == set()

@@ -23,6 +23,7 @@ from praf.ingest import (
     UrllibTransport,
     _CONTROL,
     _collapse,
+    _normalize_plain,
     _strip_control,
     cache_get,
     cache_put,
@@ -87,6 +88,14 @@ def _collapse_reference(text):
     return re.sub(r"[ \t\f\v]+", " ", text).strip()
 
 
+def _normalize_plain_reference(text):
+    """The per-line translate, substitution and strip that preceded the
+    fast paths for a text without newlines or double spaces."""
+    blanks = str.maketrans("\t\v\f", "   ")
+    lines = [re.sub(" {2,}", " ", line.translate(blanks)).strip() for line in text.split("\n")]
+    return "\n".join(line for line in lines if line)
+
+
 # Text dense in the whitespace, control and zero-width characters the
 # extraction treats specially.
 _CONTROL_TEXT = st.text(st.one_of(
@@ -111,7 +120,7 @@ class TestControlCharacters:
         expected.update({9: " ", 11: " ", 12: " ", 13: "\n"})
         del expected[10]
         assert changed == expected
-        # _TextExtractor.handle_data strips only chunks that are not printable.
+        # TextExtractor.handle_data strips only chunks that are not printable.
         assert not any(chr(cp).isprintable() for cp in changed)
 
     @settings(max_examples=500, deadline=None)
@@ -122,7 +131,15 @@ class TestControlCharacters:
     @settings(max_examples=500, deadline=None)
     @given(_CONTROL_TEXT)
     def test_collapse_matches_the_whitespace_class_substitution(self, text):
+        # _collapse only ever receives text that has been through _strip_control.
+        text = _strip_control(text)
         assert _collapse(text) == _collapse_reference(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CONTROL_TEXT)
+    def test_normalize_plain_matches_the_per_line_code(self, text):
+        text = _strip_control(text)
+        assert _normalize_plain(text) == _normalize_plain_reference(text)
 
     @pytest.mark.parametrize("raw, media, expected", [
         (b"<p>We\tencrypt your data at rest.</p>", "text/html", "We encrypt your data at rest."),

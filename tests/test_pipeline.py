@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -76,6 +77,34 @@ class TestFetchCorpus:
 
     def test_empty_codebook(self, tmp_path):
         assert fetch_corpus(Codebook(), tmp_path) == []
+
+    def test_jobs_page_requests_are_in_flight_at_once(self, tmp_path):
+        jobs = 2
+        barrier = threading.Barrier(jobs, timeout=5)
+
+        class BarrierTransport:
+            def get(self, url, timeout):
+                barrier.wait()  # breaks, and the fetch fails, unless jobs requests wait here
+                return 200, "text/html", f"<p>Policy at {url}.</p>".encode(), url
+
+        manifest = fetch_corpus(small_codebook(), tmp_path, jobs=jobs, transport=BarrierTransport())
+        assert [m["status"] for m in manifest] == ["accessible", "accessible", "inaccessible"]
+        assert not barrier.broken
+
+    def test_extraction_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import praf.ingest
+
+        threads = []
+        extract = praf.ingest.extract_text
+        monkeypatch.setattr(praf.ingest, "extract_text",
+                            lambda *args: threads.append(threading.get_ident()) or extract(*args))
+        transport = FakeTransport({
+            url: (200, "text/html", b"<p>We collect data.</p>", url)
+            for url in ("https://a1.example/privacy", "https://a2.example/privacy")
+        })
+        manifest = fetch_corpus(small_codebook(), tmp_path, jobs=2, transport=transport)
+        assert [m["status"] for m in manifest] == ["accessible", "accessible", "inaccessible"]
+        assert threads == [threading.get_ident()] * 2
 
     def test_robots_block_is_recorded_as_such(self, tmp_path):
         transport = FakeTransport({
