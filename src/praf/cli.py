@@ -20,7 +20,7 @@ import click
 from . import pipeline
 from .corpus import load_codebook
 from .detect import default_rules_path, load_rules
-from .errors import IoFailure, PrafError
+from .errors import PrafError
 from .ingest import atomic_write
 from .report import (
     emit_app_report,
@@ -56,13 +56,6 @@ def _resolve_cache(cache: str | None, *, writable: bool) -> Path:
     return FIXTURES_DIR / "cache"
 
 
-def _load_codebook_or_fail(path: Path):
-    try:
-        return load_codebook(path)
-    except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -70,13 +63,20 @@ def _timestamp() -> str:
 def _write(path: Path, body: str, *, stamp: bool = False) -> None:
     if stamp:
         body = f"<!-- generated: {_timestamp()} -->\n" + body
-    try:
-        atomic_write(path, body)
-    except IoFailure as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    atomic_write(path, body)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every PrafError that a command raises exits 2 with its message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PrafError as exc:
+            _fail(EXIT_CONFIG, str(exc))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Privacy-policy risk auditing for healthcare apps."""
 
@@ -92,14 +92,11 @@ def main() -> None:
 @click.option("--respect-robots/--ignore-robots", default=True, show_default=True)
 def fetch(codebook, cache, offline, jobs, respect_robots):
     """Fetch privacy policies into the cache and print a status manifest."""
-    cb = _load_codebook_or_fail(Path(codebook))
+    cb = load_codebook(codebook)
     cache_dir = _resolve_cache(cache, writable=not offline)
-    try:
-        manifest = pipeline.fetch_corpus(
-            cb, cache_dir, offline=offline, jobs=jobs, respect_robots=respect_robots,
-        )
-    except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    manifest = pipeline.fetch_corpus(
+        cb, cache_dir, offline=offline, jobs=jobs, respect_robots=respect_robots,
+    )
     click.echo(json.dumps({"cache": str(cache_dir), "apps": manifest}, indent=2))
 
 
@@ -121,17 +118,11 @@ def fetch(codebook, cache, offline, jobs, respect_robots):
               help="Include real app names in per-app reports (redacted by default).")
 def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
     """Score every app from cached policies + annotations and write reports."""
-    cb = _load_codebook_or_fail(Path(codebook))
+    cb = load_codebook(codebook)
     rules_path = Path(rules)
-    try:
-        ruleset = load_rules(rules_path)
-    except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    ruleset = load_rules(rules_path)
     cache_dir = _resolve_cache(cache, writable=False)
-    try:
-        result = pipeline.run_audit(cb, cache_dir, ruleset)
-    except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    result = pipeline.run_audit(cb, cache_dir, ruleset)
     if result.incomplete:
         _fail(EXIT_INCOMPLETE,
               "no cached policy and incomplete annotations for: " + ", ".join(result.incomplete))
@@ -193,11 +184,12 @@ def verify(codebook, expected):
     bundled reference results."""
     # Imported here so that audit and fetch do not load the verify module.
     from .verify import load_reference, render_report, run_verify
-    cb = _load_codebook_or_fail(Path(codebook))
+    cb = load_codebook(codebook)
+    reference = load_reference(expected)
     try:
-        report = run_verify(cb, load_reference(expected))
+        report = run_verify(cb, reference)
     except PrafError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+        _fail(EXIT_CONFIG, f"reference results {expected} do not fit codebook {codebook}: {exc}")
     click.echo(render_report(report), nl=False)
     sys.exit(EXIT_OK if report.passed else EXIT_VERIFY_FAILED)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .detect import DIMENSIONS, DetectionDimension, Verdict
-from .errors import MalformedCodebook, MissingFile
+from .errors import MalformedCodebook, read_json
 from .ingest import atomic_write
 
 PSEUDONYM_RE = re.compile(r"^[A-Za-z][1-9][0-9]*$")
@@ -115,97 +115,58 @@ def assign_pseudonyms(entries: Sequence[RawAppEntry]) -> Codebook:
 
 # --- persistence -------------------------------------------------------------
 
-# Every record field holds a string; True marks those that may be null.
-_RECORD_FIELDS = {"pseudonym": False, "real_name": True, "category": False,
-                  "policy_url": True, "store_source": False}
+# The codebook file: every record field holds a string (category and
+# store_source one of their enum values) or, where shown, null.
+_CODEBOOK_SHAPE = {
+    "records": [{"pseudonym": str, "real_name": (str, None),
+                 "category": {c.value for c in AppCategory}, "policy_url": (str, None),
+                 "store_source": {s.value for s in StoreSource}}],
+    "annotations?": [{"app": str, "reviewer_note?": str, "timestamp?": str,
+                      "overrides?": {f"{d.value}?": {v.value for v in Verdict}
+                                     for d in DIMENSIONS}}],
+}
 
 
-def _parse_record(obj, locator: str) -> AppRecord:
-    if not isinstance(obj, dict):
-        raise MalformedCodebook("record must be an object", locator)
-    extra = set(obj) - set(_RECORD_FIELDS)
-    if extra:
-        raise MalformedCodebook(f"unknown record fields {sorted(extra)}", locator)
-    missing = set(_RECORD_FIELDS) - set(obj)
-    if missing:
-        raise MalformedCodebook(f"missing record fields {sorted(missing)}", locator)
-    for name, nullable in _RECORD_FIELDS.items():
-        value = obj[name]
-        if not (isinstance(value, str) or (nullable and value is None)):
-            kind = "a string or null" if nullable else "a string"
-            raise MalformedCodebook(f"{name} must be {kind}, not {value!r}", locator)
-    try:
-        category = AppCategory(obj["category"])
-    except ValueError:
-        raise MalformedCodebook(f"unknown category {obj['category']!r}", locator) from None
-    try:
-        store = StoreSource(obj["store_source"])
-    except ValueError:
-        raise MalformedCodebook(f"unknown store_source {obj['store_source']!r}", locator) from None
+def _parse_record(obj: dict, locator: str) -> AppRecord:
     try:
         return AppRecord(
             pseudonym=obj["pseudonym"],
-            category=category,
+            category=AppCategory(obj["category"]),
             real_name=obj["real_name"],
             policy_url=obj["policy_url"],
-            store_source=store,
+            store_source=StoreSource(obj["store_source"]),
         )
     except MalformedCodebook as exc:
-        raise MalformedCodebook(str(exc), locator) from None
+        raise MalformedCodebook(str(exc), f"{locator}.pseudonym") from None
 
 
-def _parse_annotation(obj, locator: str) -> AnnotationSet:
-    if not isinstance(obj, dict):
-        raise MalformedCodebook("annotation must be an object", locator)
-    raw_overrides = obj.get("overrides", {})
-    if not isinstance(raw_overrides, dict):
-        raise MalformedCodebook("overrides must be an object", locator)
-    overrides: dict[DetectionDimension, Verdict] = {}
-    for key, value in raw_overrides.items():
-        try:
-            dim = DetectionDimension(key)
-        except ValueError:
-            raise MalformedCodebook(f"unknown dimension {key!r}", locator) from None
-        try:
-            overrides[dim] = Verdict(value)
-        except ValueError:
-            raise MalformedCodebook(f"invalid verdict {value!r} for {key}", locator) from None
+def _parse_annotation(obj: dict, locator: str) -> AnnotationSet:
     raw_ts = obj.get("timestamp", "1970-01-01T00:00:00+00:00")
-    if not isinstance(raw_ts, str):
-        raise MalformedCodebook(f"bad timestamp {raw_ts!r}", locator)
     try:
         timestamp = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
     except ValueError:
-        raise MalformedCodebook(f"bad timestamp {raw_ts!r}", locator) from None
+        raise MalformedCodebook(f"bad timestamp {raw_ts!r}", f"{locator}.timestamp") from None
     if timestamp.tzinfo is None:
         timestamp = timestamp.replace(tzinfo=timezone.utc)
     return AnnotationSet(
-        app=obj.get("app", ""),
-        overrides=overrides,
+        app=obj["app"],
+        overrides={DetectionDimension(k): Verdict(v) for k, v in obj.get("overrides", {}).items()},
         reviewer_note=obj.get("reviewer_note", ""),
         timestamp=timestamp,
     )
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"codebook not found: {path}")
+    data = read_json(path, _CODEBOOK_SHAPE, MalformedCodebook, "codebook")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise MalformedCodebook(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "records" not in data:
-        raise MalformedCodebook(f"{path} must be an object with a 'records' array")
-    records = [
-        _parse_record(obj, f"records[{i}]")
-        for i, obj in enumerate(data.get("records", []))
-    ]
-    annotations = [
-        _parse_annotation(obj, f"annotations[{i}]")
-        for i, obj in enumerate(data.get("annotations", []))
-    ]
-    return Codebook(records=tuple(records), annotations=tuple(annotations))
+        return Codebook(
+            records=tuple(_parse_record(obj, f"records[{i}]")
+                          for i, obj in enumerate(data["records"])),
+            annotations=tuple(_parse_annotation(obj, f"annotations[{i}]")
+                              for i, obj in enumerate(data.get("annotations", []))),
+        )
+    except MalformedCodebook as exc:  # a bad pseudonym or timestamp, or a broken invariant
+        raise MalformedCodebook(f"codebook {path}: {exc}") from None
 
 
 def _record_to_json(rec: AppRecord) -> dict:

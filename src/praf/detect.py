@@ -44,7 +44,6 @@ detectors, scoring, reports and verification all read these two tables.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -53,7 +52,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import MalformedRules, MissingFile, NoSentences, UnknownDimension, UnsupportedDimension
+from .errors import (NUMBER, MalformedRules, NoSentences, UnknownDimension, UnsupportedDimension,
+                     read_json)
 from .readability import AnalyzedText, analyze
 
 
@@ -264,41 +264,27 @@ class RuleSet:
         return self.by_dimension[dim]
 
 
+# The rules file: an entry for every dimension.
+_RULES_SHAPE = {d.value: {"strong?": [str], "weak?": [str], "thresholds?": {str: NUMBER}}
+                for d in DetectionDimension}
+
+
 def load_rules(path: str | Path) -> RuleSet:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"rules file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise MalformedRules(f"rules file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MalformedRules(f"rules file {path} must hold an object")
-    known = {d.value: d for d in DetectionDimension}
+    data = read_json(path, _RULES_SHAPE, MalformedRules, "rules file")
     by_dim = {}
-    for key, spec in data.items():
-        dim = known.get(key)
-        if dim is None:
-            raise MalformedRules(f"unknown dimension {key!r} in {path}")
-        if not isinstance(spec, dict):
-            raise MalformedRules(f"dimension {key}: expected an object")
-        strong = spec.get("strong", [])
-        weak = spec.get("weak", [])
-        thresholds = spec.get("thresholds", {})
-        if not (isinstance(strong, list) and isinstance(weak, list)
-                and all(isinstance(raw, str) for raw in strong + weak)):
-            raise MalformedRules(f"dimension {key}: strong/weak must be lists of strings")
-        if not (isinstance(thresholds, dict)
-                and all(isinstance(v, (int, float)) for v in thresholds.values())):
-            raise MalformedRules(f"dimension {key}: thresholds must be an object of numbers")
-        patterns = [compile_pattern(raw, f"{key}:{i}") for i, raw in enumerate(strong + weak)]
-        n_strong = len(strong)
-        by_dim[dim] = DimensionRules(
-            strong=tuple(patterns[:n_strong]),
-            weak=tuple(patterns[n_strong:]),
-            thresholds=thresholds,
-        )
-    return RuleSet(by_dimension=by_dim)
+    try:
+        for key, spec in data.items():
+            strong = spec.get("strong", [])
+            patterns = [compile_pattern(raw, f"{key}:{i}")
+                        for i, raw in enumerate(strong + spec.get("weak", []))]
+            by_dim[DetectionDimension(key)] = DimensionRules(
+                strong=tuple(patterns[:len(strong)]),
+                weak=tuple(patterns[len(strong):]),
+                thresholds=spec.get("thresholds", {}),
+            )
+        return RuleSet(by_dimension=by_dim)
+    except MalformedRules as exc:  # a pattern that does not compile, or a dimension without rules
+        raise MalformedRules(f"rules file {path}: {exc}") from None
 
 
 def default_rules_path() -> Path:
@@ -453,7 +439,8 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     density = len(spans) / len(sentences)
     detail = {"hedged_sentences": len(spans), "sentences": len(sentences),
               "density": round(density, 4)}
-    verdict = (Verdict.YES if density >= yes_at
+    # No hedged sentence is no evidence, whatever the thresholds.
+    verdict = (Verdict.NO if not spans else Verdict.YES if density >= yes_at
                else Verdict.PARTIAL if density >= partial_at else Verdict.NO)
     evidence = tuple(spans) if verdict is not Verdict.NO else ()
     return Finding(DetectionDimension.AMBIGUOUS_LANGUAGE, verdict, evidence, detail)
@@ -469,7 +456,7 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     spans = [EvidenceSpan(*doc.sentence_spans[k], pat.rule_id)
              for k, pat in claims.items() if k not in mechanisms]
     detail = {"vague_sentences": len(spans)}
-    verdict = Verdict.YES if len(spans) >= yes_at else Verdict.PARTIAL if spans else Verdict.NO
+    verdict = Verdict.NO if not spans else Verdict.YES if len(spans) >= yes_at else Verdict.PARTIAL
     return Finding(DetectionDimension.VAGUE_COMMITMENTS, verdict, tuple(spans), detail)
 
 

@@ -1,12 +1,83 @@
-"""Exception types shared across the praf package."""
+"""Exception types shared across the praf package, and the one reader of the
+JSON input files: every loader states its file's shape and calls read_json."""
+
+import json
+import math
+import reprlib
+from pathlib import Path
+
+NUMBER = (int, float)
 
 
 class PrafError(Exception):
-    """Base class for all praf errors."""
+    """Base class for all praf errors; ``locator`` names the bad part of an
+    input file, such as ``records[2].policy_url``."""
+
+    def __init__(self, message: str, locator: str | None = None):
+        self.locator = locator
+        super().__init__(f"{message} (at {locator})" if locator else message)
+
+
+def check_shape(value, shape, error: type[PrafError], where: str, locator: str = "") -> None:
+    """Raise ``error`` naming ``where`` (the file), the locator and the value
+    of the first part of parsed JSON ``value`` that does not fit ``shape``.
+
+    A shape is a type or a tuple of types (``None`` for null; a bool is not
+    a number, and a number must be finite), a set of allowed values, ``[s]``
+    for an array of ``s``, a list of several shapes for an array of exactly
+    those, ``{str: s}`` for a map to ``s``, or a dict of field shapes for an
+    object of exactly those fields, where a name ending in ``?`` may be absent.
+    """
+    def fail(expected: str):
+        raise error(f"{where}: expected {expected}, not {reprlib.repr(value)}", locator or None)
+
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            fail("an object")
+        fields = dict.fromkeys(value, shape[str]) if str in shape else shape
+        names = {name.removesuffix("?"): name for name in fields}
+        for key in [*names, *(key for key in value if key not in names)]:
+            at = f"{locator}.{key}" if locator else key
+            if key not in names:
+                raise error(f"{where}: unknown field {key!r}", at)
+            if key in value:
+                check_shape(value[key], fields[names[key]], error, where, at)
+            elif key == names[key]:
+                raise error(f"{where}: missing field {key!r}", at)
+    elif isinstance(shape, list):
+        if not isinstance(value, list) or len(shape) > 1 and len(value) != len(shape):
+            fail(f"an array of {len(shape)}" if len(shape) > 1 else "an array")
+        for i, item in enumerate(value):
+            check_shape(item, shape[i] if len(shape) > 1 else shape[0], error, where,
+                        f"{locator}[{i}]")
+    elif isinstance(shape, set):
+        if isinstance(value, (list, dict)) or value not in shape:
+            fail(f"one of {sorted(shape, key=str)}")
+    else:
+        types = shape if isinstance(shape, tuple) else (shape,)
+        # Parsed JSON holds no subclasses, so a bool is not taken for an int.
+        if (type(value) not in types and not (value is None and None in types)
+                or type(value) is float and not math.isfinite(value)):
+            fail(" or ".join("null" if t is None else t.__name__ for t in types))
 
 
 class MissingFile(PrafError):
     """An input file does not exist."""
+
+
+def read_json(path, shape, error: type[PrafError], what: str):
+    """The JSON file ``what`` at ``path``, checked against ``shape``. Raises
+    MissingFile when there is none, and ``error`` naming the file when it
+    cannot be read as UTF-8 JSON or does not fit the shape."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(f"{what} not found: {path}")
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable (a directory, say), not UTF-8, not JSON
+        raise error(f"{what} {path} is not readable UTF-8 JSON: {exc}") from exc
+    check_shape(data, shape, error, f"{what} {path}")
+    return data
 
 
 class IoFailure(PrafError):
@@ -15,10 +86,6 @@ class IoFailure(PrafError):
 
 class MalformedCodebook(PrafError):
     """Codebook file is syntactically invalid or violates an invariant."""
-
-    def __init__(self, message: str, locator: str | None = None):
-        self.locator = locator
-        super().__init__(f"{message} (at {locator})" if locator else message)
 
 
 class CorruptCache(PrafError):

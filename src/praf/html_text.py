@@ -10,8 +10,8 @@ from html.parser import HTMLParser
 
 from .ingest import _normalize_plain, _strip_control
 
-SKIP_TAGS = {"script", "style", "noscript", "template", "head", "nav", "header",
-             "footer", "aside"}
+LANDMARK_TAGS = {"nav", "header", "footer", "aside"}
+SKIP_TAGS = {"script", "style", "noscript", "template", "head", *LANDMARK_TAGS}
 BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
@@ -19,11 +19,13 @@ LINK_RATIO_LIMIT = 0.5
 
 
 class TextExtractor(HTMLParser):
-    """Collects one line per visible block in ``lines``; feed the page text
-    after _strip_control, then close."""
+    """Collects one line per visible block in ``lines``, leaving out the
+    elements named in ``skip_tags``; feed the page text after _strip_control,
+    then close."""
 
-    def __init__(self):
+    def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
+        self.skip_tags = skip_tags
         self.lines: list[str] = []
         self._parts: list[str] = []
         self._link_chars = 0
@@ -46,7 +48,7 @@ class TextExtractor(HTMLParser):
         self.lines.append(text)
 
     def handle_starttag(self, tag, attrs):
-        if tag in SKIP_TAGS:
+        if tag in self.skip_tags:
             self._skip_depth += 1
             return
         if self._skip_depth:
@@ -59,7 +61,7 @@ class TextExtractor(HTMLParser):
             self._flush()
 
     def handle_endtag(self, tag):
-        if tag in SKIP_TAGS:
+        if tag in self.skip_tags:
             self._skip_depth = max(0, self._skip_depth - 1)
             return
         if self._skip_depth:

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from urllib.parse import urljoin, urlparse
 
-from .errors import CorruptCache, EmptyAfterExtraction, IoFailure
+from .errors import CorruptCache, EmptyAfterExtraction, IoFailure, read_json
 
 DEFAULT_USER_AGENT = "praf-policy-auditor/0.1 (+privacy policy research)"
 DEFAULT_TIMEOUT = 10.0
@@ -234,10 +234,14 @@ def extract_text(raw: bytes, content_type: str = "") -> str:
     else:
         # Imported here: audit and verify never extract, so they should not
         # load html.parser.
-        from .html_text import TextExtractor
-        parser = TextExtractor()
-        parser.feed(decoded)
-        parser.close()
+        from .html_text import LANDMARK_TAGS, SKIP_TAGS, TextExtractor
+        # Landmarks are page chrome, unless skipping them leaves no text.
+        for skip_tags in (SKIP_TAGS, SKIP_TAGS - LANDMARK_TAGS):
+            parser = TextExtractor(skip_tags)
+            parser.feed(decoded)
+            parser.close()
+            if parser.lines:
+                break
         text = "\n".join(parser.lines)
     if not text.strip():
         raise EmptyAfterExtraction("no visible text after extraction")
@@ -293,20 +297,13 @@ def _doc_to_json(doc: PolicyDocument) -> dict:
     }
 
 
-# Each cache entry field and the type its JSON value must have; the fields
-# that may be null may also be absent.
-_DOC_FIELDS = {"app": str, "source": str, "raw_b64": str, "text": str, "fetched_at": str,
-               "accessible": bool, "reason": str | None, "http_status": int | None,
-               "content_type": str | None}
+# A cache entry; the fields that may be null may also be absent.
+_DOC_SHAPE = {"app": str, "source": str, "raw_b64": str, "text": str, "fetched_at": str,
+              "accessible": bool, "reason?": {None, *(r.value for r in InaccessibleReason)},
+              "http_status?": (int, None), "content_type?": (str, None)}
 
 
 def _doc_from_json(data: dict) -> PolicyDocument:
-    if not isinstance(data, dict):
-        raise TypeError(f"entry must be an object, not {type(data).__name__}")
-    for name, kind in _DOC_FIELDS.items():
-        value = data.get(name)
-        if not isinstance(value, kind):
-            raise TypeError(f"{name} must be {getattr(kind, '__name__', kind)}, not {value!r}")
     return PolicyDocument(
         app=data["app"],
         source=data["source"],
@@ -326,9 +323,10 @@ def cache_get(cache_dir: str | Path, url: str) -> PolicyDocument | None:
     path = _cache_path(cache_dir, url)
     if not path.exists():
         return None
+    data = read_json(path, _DOC_SHAPE, CorruptCache, "corrupt cache entry")
     try:
-        return _doc_from_json(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:
+        return _doc_from_json(data)
+    except ValueError as exc:  # bad base64 or timestamp, or fields that contradict each other
         raise CorruptCache(f"corrupt cache entry {path}: {exc!r}") from exc
 
 

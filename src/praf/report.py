@@ -43,6 +43,8 @@ _MARKDOWN_HEADER = (
 
 # Summary signal with no dimension of its own; listed after the regulations.
 _NO_REGULATION = ("no_regulation", "No regulation mentioned")
+# The keys of CorpusSummary.counts.
+COUNT_KEYS = [spec.count[0] for spec in DIMENSIONS.values() if spec.count] + [_NO_REGULATION[0]]
 
 
 @dataclass(frozen=True)

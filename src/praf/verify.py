@@ -12,16 +12,15 @@ are checked against their pinned targets and tolerances.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Codebook
 from .detect import DetectionDimension as Dim, no_findings
-from .errors import MissingFile, PrafError
+from .errors import NUMBER, PrafError, read_json
 from .pipeline import AppAudit, audit_from_findings
-from .readability import ReadabilityResult, band
-from .report import summarize
+from .readability import SMOG_INTERCEPT, ReadabilityResult, band
+from .report import COUNT_KEYS, summarize
 from .score import ELEMENTS
 
 
@@ -53,19 +52,31 @@ class VerifyReport:
         return not self.failures
 
 
+# The reference file: every field that verify reads. A count, mean or sd
+# that summarize does not compute is an unknown field.
+_REFERENCE_SHAPE = {
+    "apps": [{"pseudonym": str, "accessible?": bool, "smog": (*NUMBER, None),
+              "level": (str, None), "scores": {e.field: int for e in ELEMENTS}}],
+    "waivers?": [{"pseudonym": str, "field": str, "reference?": int, "rubric": int,
+                  "note": str}],
+    "summary": {
+        "counts": {f"{key}?": [int, NUMBER] for key in COUNT_KEYS},
+        "means": {f"{e.field}?": NUMBER for e in ELEMENTS},
+        "sds": {f"{e.field}?": NUMBER for e in ELEMENTS},
+        "tolerances?": {"mean?": NUMBER, "sd?": NUMBER, "usability_sd?": NUMBER},
+        "smog_mean": NUMBER,
+        "overall_min": {"value": int, "apps": [str]},
+        "overall_max": {"value": int, "apps": [str]},
+    },
+}
+
+
 def load_reference(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"reference results not found: {path}")
-    try:
-        reference = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise PrafError(f"reference results {path} are not valid JSON: {exc}") from exc
-    if not (isinstance(reference, dict) and isinstance(reference.get("apps"), list)
-            and all(isinstance(row, dict) for row in reference["apps"])
-            and isinstance(reference.get("summary"), dict)):
-        raise PrafError(f"reference results {path} must be an object with an 'apps' "
-                        "array of objects and a 'summary' object")
+    reference = read_json(path, _REFERENCE_SHAPE, PrafError, "reference results")
+    for i, row in enumerate(reference["apps"]):
+        if row["smog"] is not None and row["smog"] < SMOG_INTERCEPT:
+            raise PrafError(f"reference results {path}: SMOG grade {row['smog']} is below the "
+                            f"formula's intercept {SMOG_INTERCEPT}", f"apps[{i}].smog")
     return reference
 
 
@@ -73,6 +84,10 @@ def reference_audits(codebook: Codebook, reference: dict) -> list[AppAudit]:
     """One audit per codebook record, scored from its annotations and its
     reference SMOG grade (None for an inaccessible policy)."""
     smog = {row["pseudonym"]: row["smog"] for row in reference["apps"]}
+    known = {rec.pseudonym for rec in codebook.records}
+    for i, row in enumerate(reference["apps"]):
+        if row["pseudonym"] not in known:
+            raise PrafError(f"no codebook record for {row['pseudonym']}", f"apps[{i}].pseudonym")
     audits = []
     for rec in codebook.records:
         app = rec.pseudonym

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from praf.corpus import load_codebook
 
@@ -21,3 +22,8 @@ def fixture_codebook():
 @pytest.fixture(scope="session")
 def reference():
     return json.loads((FIXTURES / "reference_results.json").read_text())
+
+
+# CI runs the CLI fuzz property of test_cli.py once more under this profile;
+# the tier-1 run keeps Hypothesis's default number of examples.
+settings.register_profile("ci", max_examples=1000)

@@ -3,15 +3,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import praf
 from praf.cli import main
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
+RULES = FIXTURES.parent / "rules.json"
 
 
 @pytest.fixture()
@@ -21,6 +24,13 @@ def runner():
 
 def invoke(runner, args, **kwargs):
     return runner.invoke(main, args, env={"PRAF_CACHE": ""}, **kwargs)
+
+
+def edited(path: Path, edit) -> dict:
+    """The JSON file at path after ``edit`` changed it in place."""
+    data = json.loads(path.read_text())
+    edit(data)
+    return data
 
 
 class TestFetch:
@@ -119,6 +129,32 @@ class TestAudit:
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
         assert "policy_url" in result.output and "records[2]" in result.output
+
+    @pytest.mark.parametrize("command, option, edit, locator", [
+        *(pytest.param(command, "--codebook", edit, locator, id=f"{name}-{command}")
+          for name, edit, locator in [
+              ("records", lambda cb: cb.update(records=5), "records"),
+              ("annotations", lambda cb: cb.update(annotations=5), "annotations"),
+              ("annotation-app", lambda cb: cb["annotations"][0].update(app=[1]),
+               "annotations[0].app"),
+          ]
+          for command in ["audit", "verify"]),
+        *(pytest.param("audit", "--rules",
+                       lambda r, v=value: r["vague_commitments"]["thresholds"].update(
+                           yes_sentences=v),
+                       "vague_commitments.thresholds.yes_sentences", id=f"threshold-{value}")
+          for value in [float("nan"), float("inf"), True]),
+    ])
+    def test_codebook_or_rules_field_of_the_wrong_shape_exit_2_names_file_and_field(
+            self, runner, tmp_path, command, option, edit, locator):
+        source = FIXTURES / "codebook.json" if option == "--codebook" else RULES
+        bad = tmp_path / f"odd-{source.name}"
+        bad.write_text(json.dumps(edited(source, edit)))
+        args = ["--out", str(tmp_path / "o")] if command == "audit" else []
+        result = invoke(runner, [command, option, str(bad), *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert bad.name in result.output and f"(at {locator})" in result.output
 
     @pytest.mark.parametrize("command", ["audit", "fetch"])
     def test_cache_entry_with_non_string_text_exit_2_names_file(self, runner, tmp_path, command):
@@ -230,18 +266,110 @@ class TestVerify:
         assert result.output.startswith("error: ")
         assert "broken-reference.json" in result.output
 
-    @pytest.mark.parametrize("body", ["{}", "[]", '{"apps": [7], "summary": {}}'])
-    def test_expectations_of_the_wrong_shape_exit_2_names_file(self, runner, tmp_path, body):
+    @pytest.mark.parametrize("body, locator", [
+        pytest.param("{}", "apps", id="{}"),
+        pytest.param("[]", None, id="[]"),
+        pytest.param('{"apps": [7], "summary": {}}', "apps[0]",
+                     id='{"apps": [7], "summary": {}}'),
+        *(pytest.param(json.dumps(edited(FIXTURES / "reference_results.json", edit)), locator,
+                       id=name)
+          for name, edit, locator in [
+              ("smog-deleted", lambda r: r["apps"][0].pop("smog"), "apps[0].smog"),
+              ("smog-string", lambda r: r["apps"][0].update(smog="x"), "apps[0].smog"),
+              ("scores-deleted", lambda r: r["apps"][0].pop("scores"), "apps[0].scores"),
+              ("smog-below-intercept", lambda r: r["apps"][0].update(smog=1.0), "apps[0].smog"),
+              ("counts-number", lambda r: r["summary"].update(counts=5), "summary.counts"),
+              ("count-pair-short", lambda r: r["summary"]["counts"].update(hipaa=[1]),
+               "summary.counts.hipaa"),
+              ("means-deleted", lambda r: r["summary"].pop("means"), "summary.means"),
+              ("waivers-number", lambda r: r.update(waivers=5), "waivers"),
+              ("tolerance-string", lambda r: r["summary"]["tolerances"].update(mean="x"),
+               "summary.tolerances.mean"),
+              ("row-not-in-codebook",
+               lambda r: r["apps"].append({**r["apps"][0], "pseudonym": "A99"}),
+               "apps[28].pseudonym"),
+          ]),
+    ])
+    def test_expectations_of_the_wrong_shape_exit_2_names_file(self, runner, tmp_path, body,
+                                                               locator):
         expected = tmp_path / "odd-reference.json"
         expected.write_text(body)
         result = invoke(runner, ["verify", "--expected", str(expected)])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
         assert "odd-reference.json" in result.output
+        assert locator is None or f"(at {locator})" in result.output
 
     def test_unknown_flag_exit_2(self, runner):
         result = invoke(runner, ["verify", "--bogus"])
         assert result.exit_code == 2
+
+
+def _paths(value, path=()):
+    """The key/index path of every value inside value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield (*path, key)
+        yield from _paths(item, (*path, key))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=4)
+_CACHE_ENTRIES = sorted((FIXTURES / "cache").glob("*.json"))
+
+
+# No max_examples here, so that the "ci" profile of conftest.py can raise it.
+@settings(deadline=None)
+@given(st.data())
+def test_one_bad_value_in_an_input_file_ends_in_a_stated_exit(data):
+    """Replace one value at a random path of the bundled codebook, the rules
+    file, the reference results or one cache entry with a random JSON value or
+    a sibling value, or delete one key: audit exits 0, 2 or 3 and verify 0, 1
+    or 2, raising nothing but SystemExit, and a verify exit 1 reports FAIL."""
+    inputs = {"--codebook": FIXTURES / "codebook.json", "--rules": RULES,
+              "--expected": FIXTURES / "reference_results.json", "--cache": FIXTURES / "cache"}
+    option = data.draw(st.sampled_from(sorted(inputs)))
+    source = data.draw(st.sampled_from(_CACHE_ENTRIES)) if option == "--cache" else inputs[option]
+    document = json.loads(source.read_text())
+    path = data.draw(st.sampled_from(list(_paths(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        siblings = list(parent.values()) if isinstance(parent, dict) else parent
+        parent[path[-1]] = data.draw(_JSON_VALUES | st.sampled_from(siblings))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if option == "--cache":
+            inputs[option] = shutil.copytree(FIXTURES / "cache", tmp / "cache")
+            (inputs[option] / source.name).write_text(json.dumps(document))
+        else:
+            inputs[option] = tmp / source.name
+            inputs[option].write_text(json.dumps(document))
+        runner = CliRunner()
+        audit = invoke(runner, ["audit", "--codebook", str(inputs["--codebook"]),
+                                "--rules", str(inputs["--rules"]),
+                                "--cache", str(inputs["--cache"]), "--out", str(tmp / "out")])
+        verify = invoke(runner, ["verify", "--codebook", str(inputs["--codebook"]),
+                                 "--expected", str(inputs["--expected"])])
+    for result, codes in [(audit, {0, 2, 3}), (verify, {0, 1, 2})]:
+        assert result.exit_code in codes, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exc_info
+        if result.exit_code == 2:
+            assert result.output.startswith("error: "), result.output
+    if verify.exit_code == 1:
+        assert "verification: FAIL" in verify.output
 
 
 # Run in a fresh interpreter, since this test process has loaded everything.

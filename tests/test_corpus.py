@@ -109,6 +109,12 @@ class TestPersistence:
         with pytest.raises(MalformedCodebook, match="codebook.json"):
             load_codebook(path)
 
+    def test_directory_rejected(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.mkdir()
+        with pytest.raises(MalformedCodebook, match="codebook.json"):
+            load_codebook(path)
+
     def test_duplicate_pseudonym_with_locator(self, tmp_path):
         path = tmp_path / "codebook.json"
         rec = {"pseudonym": "A3", "real_name": None, "category": "Telehealth",

@@ -266,6 +266,16 @@ class TestRuleLoading:
         with pytest.raises(MalformedRules, match="ambiguous_language"):
             load_rules(p)
 
+    def test_zero_thresholds_give_no_verdict_without_evidence(self, tmp_path):
+        data = json.loads(default_rules_path().read_text())
+        data["ambiguous_language"]["thresholds"] = {"partial_density": 0, "yes_density": 0}
+        data["vague_commitments"]["thresholds"] = {"yes_sentences": 0}
+        p = tmp_path / "rules.json"
+        p.write_text(json.dumps(data))
+        findings = {f.dimension: f for f in detect_all("We collect your name.", load_rules(p))}
+        assert findings[Dim.AMBIGUOUS_LANGUAGE].verdict is Verdict.NO
+        assert findings[Dim.VAGUE_COMMITMENTS].verdict is Verdict.NO
+
     def test_no_findings_helper(self):
         findings = no_findings()
         assert len(findings) == 13

@@ -225,6 +225,15 @@ class TestExtractText:
         with pytest.raises(EmptyAfterExtraction):
             extract_text(b"   ", "text/plain")
 
+    @pytest.mark.parametrize("raw, expected", [
+        (b"<header>Logo<p>We encrypt your data.</p>", "Logo\nWe encrypt your data."),
+        (b"<nav><a>x</a><p>We encrypt your data.</p>", "We encrypt your data."),
+        (b"<div><header>Logo</div><p>We encrypt your data.</p>", "Logo\nWe encrypt your data."),
+        (b"<header>Logo</header><p>We encrypt your data.</p>", "We encrypt your data."),
+    ])
+    def test_landmarks_are_kept_only_when_skipping_them_leaves_no_text(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
     def test_pdf_is_not_parseable(self):
         with pytest.raises(EmptyAfterExtraction):
             extract_text(b"%PDF-1.7 binary junk", "application/pdf")
