@@ -417,7 +417,7 @@ def main() -> None:
         app = rec.pseudonym
         row = by_app[app]
         url = rec.policy_url
-        if not row["accessible"]:
+        if row["smog"] is None:
             doc = PolicyDocument(
                 app=app, source=url, raw=b"", text="", fetched_at=FETCHED_AT,
                 accessible=False, reason=InaccessibleReason.HTTP_ERROR, http_status=404,

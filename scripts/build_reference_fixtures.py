@@ -3,21 +3,23 @@
 
 Writes src/praf/data/fixtures/codebook.json (28 records + full annotation sets)
 and src/praf/data/fixtures/reference_results.json (per-app readability and
-scores, waivers, and corpus summary targets). The script recomputes every
-profile through the scoring rubric and refuses to emit fixtures that disagree
-with the transcription anywhere except the two documented A2 waivers.
+scores, waivers, and corpus summary targets). Both files are first written to
+a temporary directory and checked there by ``praf verify``'s own check; when
+it fails, the script prints its report and exits nonzero without writing.
 """
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from praf.detect import DIMENSIONS, Finding, Verdict
-from praf.readability import ReadabilityResult, band
-from praf.score import score_app
+from praf.corpus import load_codebook
+from praf.detect import DIMENSIONS
+from praf.ingest import atomic_write
+from praf.verify import load_reference, render_report, run_verify
 
 FIXTURES = ROOT / "src" / "praf" / "data" / "fixtures"
 
@@ -71,7 +73,6 @@ WAIVERS = [
     {
         "pseudonym": "A2",
         "field": "usability",
-        "reference": 7,
         "rubric": 6,
         "note": "reference value is inconsistent with the scoring rubric for this "
                 "row's marks; the identical mark pattern at A5 yields 6",
@@ -79,7 +80,6 @@ WAIVERS = [
     {
         "pseudonym": "A2",
         "field": "overall",
-        "reference": 20,
         "rubric": 19,
         "note": "follows from the usability cell",
     },
@@ -122,36 +122,7 @@ def verdicts_for(marks: str) -> dict:
     return {dim: MARK[c] for dim, c in zip(DIMENSIONS, flat)}
 
 
-def self_check(rows) -> None:
-    waived = {(w["pseudonym"], w["field"]): w for w in WAIVERS}
-    for (pseudonym, _, marks, smog, level, *scores) in rows:
-        reg, sec, usab, minret, tp, overall = scores
-        readability = None
-        if smog is not None:
-            assert band(smog).code == level, f"{pseudonym}: band mismatch"
-            readability = ReadabilityResult.from_grade(smog)
-        findings = {d: Finding(d, Verdict(v), manual=True)
-                    for d, v in verdicts_for(marks).items()}
-        profile = score_app(pseudonym, findings, readability)
-        computed = {**profile.elements(), "overall": profile.overall}
-        published = {
-            "regulatory": reg, "security": sec, "usability": usab,
-            "min_retention": minret, "third_party": tp, "overall": overall,
-        }
-        for field, value in published.items():
-            waiver = waived.get((pseudonym, field))
-            if waiver:
-                assert waiver["reference"] == value
-                assert computed[field] == waiver["rubric"], (pseudonym, field)
-            else:
-                assert computed[field] == value, (
-                    f"{pseudonym} {field}: rubric {computed[field]} != table {value}"
-                )
-
-
 def main() -> None:
-    self_check(ROWS)
-
     records = []
     annotations = []
     app_results = []
@@ -172,7 +143,6 @@ def main() -> None:
         reg, sec, usab, minret, tp, overall = scores
         app_results.append({
             "pseudonym": pseudonym,
-            "accessible": smog is not None,
             "smog": smog,
             "level": level,
             "scores": {
@@ -181,15 +151,23 @@ def main() -> None:
             },
         })
 
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    (FIXTURES / "codebook.json").write_text(
-        json.dumps({"records": records, "annotations": annotations},
-                   indent=2, ensure_ascii=False) + "\n"
-    )
-    (FIXTURES / "reference_results.json").write_text(
-        json.dumps({"apps": app_results, "waivers": WAIVERS,
-                    "summary": SUMMARY_TARGETS}, indent=2, ensure_ascii=False) + "\n"
-    )
+    payloads = {
+        "codebook.json": {"records": records, "annotations": annotations},
+        "reference_results.json": {"apps": app_results, "waivers": WAIVERS,
+                                   "summary": SUMMARY_TARGETS},
+    }
+    texts = {name: json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+             for name, payload in payloads.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        report = run_verify(load_codebook(Path(tmp) / "codebook.json"),
+                            load_reference(Path(tmp) / "reference_results.json"))
+    if not report.passed:
+        print(render_report(report), end="", file=sys.stderr)
+        sys.exit(1)
+    for name, text in texts.items():
+        atomic_write(FIXTURES / name, text)
     print(f"wrote {len(records)} records to {FIXTURES}")
 
 

@@ -3,9 +3,9 @@
 
 Replays the bundled corpus and prints, per app, the hedge density and the
 count of vague-assurance sentences next to the annotated verdicts, then the
-separating windows. The shipped thresholds (partial at density >= 0.15, yes
-at >= 0.35; vague yes at >= 3 sentences) must split the corpus exactly as
-annotated, else the script exits nonzero.
+separating windows and the thresholds of the bundled rules file. Those
+thresholds must split the corpus exactly as annotated, else the script exits
+nonzero.
 """
 
 import sys
@@ -51,7 +51,10 @@ def main() -> None:
     pos = [d for _, d, m, *_ in rows if m == "partial"]
     print(f"\nhedge density: annotated 'no' max {max(neg):.3f}; "
           f"annotated 'partial' range [{min(pos):.3f}, {max(pos):.3f}]")
-    print("shipped thresholds: partial >= 0.15, yes >= 0.35; vague yes >= 3 sentences")
+    amb = rules.rules_for(Dim.AMBIGUOUS_LANGUAGE).thresholds
+    vague = rules.rules_for(Dim.VAGUE_COMMITMENTS).thresholds
+    print(f"shipped thresholds: partial >= {amb['partial_density']}, yes >= {amb['yes_density']}; "
+          f"vague yes >= {vague['yes_sentences']} sentences")
     if disagreements:
         print(f"{disagreements} corpus texts disagree with their annotations")
         sys.exit(1)

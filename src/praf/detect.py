@@ -4,10 +4,11 @@ Verdicts are tri-state (yes / partial / no) and every positive verdict from a
 detector carries evidence spans that re-match the rule which produced them.
 Human annotations override detector verdicts via :func:`apply_overrides`.
 
-Rule files map each dimension to ``{"strong": [...], "weak": [...],
-"thresholds": {...}}``. Patterns are case-insensitive phrases; a trailing
-``*`` on a word matches any suffix ("encrypt*" hits "encrypted"), and
-``a ~ b`` requires both sub-patterns within one sentence.
+Rule files map each dimension to ``{"strong": [...], "weak": [...]}``; the
+two language dimensions also state their ``"thresholds"``. Patterns are
+case-insensitive phrases; a trailing ``*`` on a word matches any suffix
+("encrypt*" hits "encrypted"), and ``a ~ b`` requires both sub-patterns
+within one sentence.
 
 Each pattern keeps lowercase literals that tell where it can match, read off
 the document's ``FOLD`` copy (:class:`~praf.readability.AnalyzedText`):
@@ -264,26 +265,34 @@ class RuleSet:
         return self.by_dimension[dim]
 
 
-# The rules file: an entry for every dimension.
-_RULES_SHAPE = {d.value: {"strong?": [str], "weak?": [str], "thresholds?": {str: NUMBER}}
-                for d in DetectionDimension}
+# The rules file: an entry for every dimension. The two language detectors
+# state their thresholds; no other dimension has any.
+_RULES_SHAPE = {d.value: {"strong?": [str], "weak?": [str]} for d in DetectionDimension}
+_RULES_SHAPE["ambiguous_language"]["thresholds"] = {"partial_density": NUMBER,
+                                                    "yes_density": NUMBER}
+_RULES_SHAPE["vague_commitments"]["thresholds"] = {"yes_sentences": int}
 
 
 def load_rules(path: str | Path) -> RuleSet:
     data = read_json(path, _RULES_SHAPE, MalformedRules, "rules file")
     by_dim = {}
+    for key, spec in data.items():
+        strong = spec.get("strong", [])
+        patterns = []
+        for i, raw in enumerate(strong + spec.get("weak", [])):
+            try:
+                patterns.append(compile_pattern(raw, f"{key}:{i}"))
+            except MalformedRules as exc:
+                side = f"strong[{i}]" if i < len(strong) else f"weak[{i - len(strong)}]"
+                raise MalformedRules(f"rules file {path}: {exc}", f"{key}.{side}") from None
+        by_dim[DetectionDimension(key)] = DimensionRules(
+            strong=tuple(patterns[:len(strong)]),
+            weak=tuple(patterns[len(strong):]),
+            thresholds=spec.get("thresholds", {}),
+        )
     try:
-        for key, spec in data.items():
-            strong = spec.get("strong", [])
-            patterns = [compile_pattern(raw, f"{key}:{i}")
-                        for i, raw in enumerate(strong + spec.get("weak", []))]
-            by_dim[DetectionDimension(key)] = DimensionRules(
-                strong=tuple(patterns[:len(strong)]),
-                weak=tuple(patterns[len(strong):]),
-                thresholds=spec.get("thresholds", {}),
-            )
         return RuleSet(by_dimension=by_dim)
-    except MalformedRules as exc:  # a pattern that does not compile, or a dimension without rules
+    except MalformedRules as exc:  # a dimension without rules
         raise MalformedRules(f"rules file {path}: {exc}") from None
 
 
@@ -432,8 +441,7 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     if not sentences:
         raise NoSentences("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
-    partial_at = float(dr.thresholds.get("partial_density", 0.15))
-    yes_at = float(dr.thresholds.get("yes_density", 0.35))
+    partial_at, yes_at = dr.thresholds["partial_density"], dr.thresholds["yes_density"]
     spans = [EvidenceSpan(*sentences[k], pat.rule_id)
              for k, pat in _sentence_hits(dr.strong, doc).items()]
     density = len(spans) / len(sentences)
@@ -450,7 +458,7 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     """Generic security assurances with no concrete mechanism in the same sentence."""
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
-    yes_at = int(dr.thresholds.get("yes_sentences", 3))
+    yes_at = dr.thresholds["yes_sentences"]
     claims = _sentence_hits(dr.strong, doc)
     mechanisms = _sentence_hits(dr.weak, doc, within=claims)  # a named safeguard defuses a claim
     spans = [EvidenceSpan(*doc.sentence_spans[k], pat.rule_id)

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -337,11 +336,13 @@ def cache_put(cache_dir: str | Path, url: str, doc: PolicyDocument) -> None:
 
 def atomic_write(path: str | Path, text: str) -> None:
     """Write text through a temp file in the same directory and a rename, so
-    readers never see a torn file; creates missing parent directories."""
+    readers never see a torn file; creates missing parent directories. The
+    file gets mode 0666 less the umask, as ``open`` would give it."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)

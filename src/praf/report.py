@@ -96,7 +96,8 @@ def summarize(audits: Sequence[AppAudit]) -> CorpusSummary:
         element_sds[e.field] = statistics.pstdev(values)
 
     grades = [a.readability.smog_grade for a in accessible]
-    smog_mean = statistics.fmean(grades) if grades else None
+    # mean, not fmean: exact, so huge grades cannot overflow the sum.
+    smog_mean = statistics.mean(grades) if grades else None
 
     pool = [a.profile for a in accessible or audits]
     lo = min(p.overall for p in pool)

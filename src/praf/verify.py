@@ -3,11 +3,10 @@
 Rebuilds every app's audit from the codebook annotations plus the reference
 readability grades, through the pipeline's own scoring path
 (:func:`praf.pipeline.audit_from_findings` over no detected findings), then
-compares each cell against the reference results
-file. Two cells (A2 usability and the A2 overall that follows from it) are
-carried as documented waivers: for those the rubric value is asserted and the
-reference value is reported as waived rather than failed. Summary statistics
-are checked against their pinned targets and tolerances.
+judges each cell and each summary target of the reference results file
+against it. Two cells (A2 usability and the A2 overall that follows from it)
+are carried as documented waivers: for those the rubric value is asserted
+and the reference value is reported as waived rather than failed.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from .corpus import Codebook
 from .detect import DetectionDimension as Dim, no_findings
 from .errors import NUMBER, PrafError, read_json
 from .pipeline import AppAudit, audit_from_findings
-from .readability import SMOG_INTERCEPT, ReadabilityResult, band
-from .report import COUNT_KEYS, summarize
+from .readability import SMOG_INTERCEPT, ReadabilityResult
+from .report import COUNT_KEYS, CorpusSummary, summarize
 from .score import ELEMENTS
 
 
@@ -55,15 +54,15 @@ class VerifyReport:
 # The reference file: every field that verify reads. A count, mean or sd
 # that summarize does not compute is an unknown field.
 _REFERENCE_SHAPE = {
-    "apps": [{"pseudonym": str, "accessible?": bool, "smog": (*NUMBER, None),
-              "level": (str, None), "scores": {e.field: int for e in ELEMENTS}}],
-    "waivers?": [{"pseudonym": str, "field": str, "reference?": int, "rubric": int,
+    "apps": [{"pseudonym": str, "smog": (*NUMBER, None), "level": (str, None),
+              "scores": {e.field: int for e in ELEMENTS}}],
+    "waivers?": [{"pseudonym": str, "field": {e.field for e in ELEMENTS}, "rubric": int,
                   "note": str}],
     "summary": {
         "counts": {f"{key}?": [int, NUMBER] for key in COUNT_KEYS},
         "means": {f"{e.field}?": NUMBER for e in ELEMENTS},
         "sds": {f"{e.field}?": NUMBER for e in ELEMENTS},
-        "tolerances?": {"mean?": NUMBER, "sd?": NUMBER, "usability_sd?": NUMBER},
+        "tolerances": {"mean": NUMBER, "sd": NUMBER, "usability_sd": NUMBER},
         "smog_mean": NUMBER,
         "overall_min": {"value": int, "apps": [str]},
         "overall_max": {"value": int, "apps": [str]},
@@ -102,90 +101,59 @@ def reference_audits(codebook: Codebook, reference: dict) -> list[AppAudit]:
     return audits
 
 
-def _check_bands(reference: dict, report: VerifyReport) -> None:
-    for row in reference["apps"]:
-        if row["smog"] is None:
-            continue
-        computed = band(row["smog"]).code
-        status = "ok" if computed == row["level"] else "fail"
-        report.cells.append(CellCheck(row["pseudonym"], "level", computed, row["level"], status))
-
-
-def _check_scores(reference: dict, audits: list[AppAudit], report: VerifyReport) -> None:
+def _check_cells(reference: dict, audits: list[AppAudit], report: VerifyReport) -> None:
+    """Judge each readable app's band code, then each app's six scores, against
+    its reference row; a waived score must hold its waiver's rubric value."""
     waivers = {(w["pseudonym"], w["field"]): w for w in reference.get("waivers", [])}
-    profiles = {a.record.pseudonym: a.profile for a in audits}
-    for row in reference["apps"]:
-        app = row["pseudonym"]
-        profile = profiles[app]
-        for fieldname in (e.field for e in ELEMENTS):
-            computed = getattr(profile, fieldname)
-            expected = row["scores"][fieldname]
-            waiver = waivers.get((app, fieldname))
-            if waiver is not None:
-                ok = computed == waiver["rubric"]
-                report.cells.append(CellCheck(
-                    app, fieldname, computed, expected,
-                    "waived" if ok else "fail",
-                    note=waiver["note"],
-                ))
-            else:
-                report.cells.append(CellCheck(
-                    app, fieldname, computed, expected,
-                    "ok" if computed == expected else "fail",
-                ))
+    audit_of = {a.record.pseudonym: a for a in audits}
+    pairs = [(row, audit_of[row["pseudonym"]]) for row in reference["apps"]]
+    cells = ([(row["pseudonym"], "level", audit.readability.band.code, row["level"])
+              for row, audit in pairs if row["smog"] is not None]
+             + [(row["pseudonym"], e.field, getattr(audit.profile, e.field),
+                 row["scores"][e.field]) for row, audit in pairs for e in ELEMENTS])
+    for app, name, computed, expected in cells:
+        waiver = waivers.get((app, name))
+        if waiver is None:
+            status, note = "ok" if computed == expected else "fail", ""
+        else:
+            status, note = "waived" if computed == waiver["rubric"] else "fail", waiver["note"]
+        report.cells.append(CellCheck(app, name, computed, expected, status, note))
 
 
-def _summary_cell(name: str, computed, expected, ok: bool) -> CellCheck:
-    return CellCheck("corpus", name, computed, expected, "ok" if ok else "fail")
-
-
-def _check_summary(reference: dict, summary, report: VerifyReport) -> None:
-    targets = reference["summary"]
-    tol = targets.get("tolerances", {})
-    mean_tol = float(tol.get("mean", 0.05))
-    sd_tol = float(tol.get("sd", 0.05))
-    usab_sd_tol = float(tol.get("usability_sd", 0.15))
-
+def _summary_checks(targets: dict, summary: CorpusSummary) -> list[tuple]:
+    """(name, computed, target, tolerance) of every summary target, in report
+    order. A tolerance of None asks for an exact match, as does a computed
+    None: the SMOG mean of a corpus with no readable policy."""
+    tol = targets["tolerances"]
+    checks = []
     for key, (count, pct) in targets["counts"].items():
-        report.summary_checks.append(_summary_cell(
-            f"count.{key}", summary.counts[key], count, summary.counts[key] == count))
-        report.summary_checks.append(_summary_cell(
-            f"pct.{key}", summary.percentages[key], pct, summary.percentages[key] == pct))
-
-    for name, target in targets["means"].items():
-        computed = summary.element_means[name]
-        report.summary_checks.append(_summary_cell(
-            f"mean.{name}", round(computed, 3), target, abs(computed - target) <= mean_tol))
-
-    for name, target in targets["sds"].items():
-        computed = summary.element_sds[name]
-        tolerance = usab_sd_tol if name == "usability" else sd_tol
-        report.summary_checks.append(_summary_cell(
-            f"sd.{name}", round(computed, 3), target, abs(computed - target) <= tolerance))
-
-    smog_target = targets["smog_mean"]
-    report.summary_checks.append(_summary_cell(
-        "smog_mean", round(summary.smog_mean, 3), smog_target,
-        abs(summary.smog_mean - smog_target) <= mean_tol))
-
-    lo = targets["overall_min"]
-    hi = targets["overall_max"]
-    report.summary_checks.append(_summary_cell(
-        "overall_min", [summary.overall_min[0], list(summary.overall_min[1])],
-        [lo["value"], lo["apps"]],
-        summary.overall_min == (lo["value"], tuple(lo["apps"]))))
-    report.summary_checks.append(_summary_cell(
-        "overall_max", [summary.overall_max[0], list(summary.overall_max[1])],
-        [hi["value"], hi["apps"]],
-        summary.overall_max == (hi["value"], tuple(hi["apps"]))))
+        checks += [(f"count.{key}", summary.counts[key], count, None),
+                   (f"pct.{key}", summary.percentages[key], pct, None)]
+    checks += [(f"mean.{name}", summary.element_means[name], target, tol["mean"])
+               for name, target in targets["means"].items()]
+    checks += [(f"sd.{name}", summary.element_sds[name], target,
+                tol["usability_sd" if name == "usability" else "sd"])
+               for name, target in targets["sds"].items()]
+    checks.append(("smog_mean", summary.smog_mean, targets["smog_mean"], tol["mean"]))
+    for name in ("overall_min", "overall_max"):
+        value, apps = getattr(summary, name)
+        checks.append((name, [value, list(apps)],
+                       [targets[name]["value"], targets[name]["apps"]], None))
+    return checks
 
 
 def run_verify(codebook: Codebook, reference: dict) -> VerifyReport:
     report = VerifyReport()
     audits = reference_audits(codebook, reference)
-    _check_bands(reference, report)
-    _check_scores(reference, audits, report)
-    _check_summary(reference, summarize(audits), report)
+    _check_cells(reference, audits, report)
+    for name, computed, target, tolerance in _summary_checks(reference["summary"],
+                                                             summarize(audits)):
+        if tolerance is None or computed is None:
+            ok = computed == target
+        else:  # reported to three decimals
+            ok, computed = abs(computed - target) <= tolerance, round(computed, 3)
+        report.summary_checks.append(CellCheck("corpus", name, computed, target,
+                                               "ok" if ok else "fail"))
     return report
 
 

@@ -143,7 +143,23 @@ class TestAudit:
                        lambda r, v=value: r["vague_commitments"]["thresholds"].update(
                            yes_sentences=v),
                        "vague_commitments.thresholds.yes_sentences", id=f"threshold-{value}")
-          for value in [float("nan"), float("inf"), True]),
+          for value in [float("nan"), float("inf"), True, 2.5]),
+        *(pytest.param("audit", "--rules", edit, locator, id=name)
+          for name, edit, locator in [
+              ("empty-strong-pattern", lambda r: r["hipaa_mention"]["strong"].append(""),
+               "hipaa_mention.strong[2]"),
+              ("empty-weak-pattern", lambda r: r["data_encryption"]["weak"].append(" "),
+               "data_encryption.weak[3]"),
+              ("threshold-misspelled",
+               lambda r: r["vague_commitments"]["thresholds"].update(yes_sentence=1),
+               "vague_commitments.thresholds.yes_sentence"),
+              ("threshold-deleted",
+               lambda r: r["ambiguous_language"]["thresholds"].pop("yes_density"),
+               "ambiguous_language.thresholds.yes_density"),
+              ("thresholds-of-a-phrase-dimension",
+               lambda r: r["hipaa_mention"].update(thresholds={"yes_density": 0.5}),
+               "hipaa_mention.thresholds"),
+          ]),
     ])
     def test_codebook_or_rules_field_of_the_wrong_shape_exit_2_names_file_and_field(
             self, runner, tmp_path, command, option, edit, locator):
@@ -285,6 +301,16 @@ class TestVerify:
               ("waivers-number", lambda r: r.update(waivers=5), "waivers"),
               ("tolerance-string", lambda r: r["summary"]["tolerances"].update(mean="x"),
                "summary.tolerances.mean"),
+              ("tolerance-deleted", lambda r: r["summary"]["tolerances"].pop("sd"),
+               "summary.tolerances.sd"),
+              ("tolerances-deleted", lambda r: r["summary"].pop("tolerances"),
+               "summary.tolerances"),
+              ("row-accessible", lambda r: r["apps"][0].update(accessible=True),
+               "apps[0].accessible"),
+              ("waiver-reference", lambda r: r["waivers"][0].update(reference=7),
+               "waivers[0].reference"),
+              ("waiver-field-level", lambda r: r["waivers"][0].update(field="level"),
+               "waivers[0].field"),
               ("row-not-in-codebook",
                lambda r: r["apps"].append({**r["apps"][0], "pseudonym": "A99"}),
                "apps[28].pseudonym"),
@@ -299,6 +325,58 @@ class TestVerify:
         assert result.output.startswith("error: ")
         assert "odd-reference.json" in result.output
         assert locator is None or f"(at {locator})" in result.output
+
+    @pytest.mark.parametrize("edit, fails", [
+        pytest.param(lambda r: None, [], id="bundled"),
+        pytest.param(lambda r: r["summary"]["counts"].update(hipaa=[8, 25.0]),
+                     ["count.hipaa: computed 7 != target 8"], id="count"),
+        pytest.param(lambda r: r["summary"]["counts"].update(gdpr=[5, 18.0]),
+                     ["pct.gdpr: computed 17.9 != target 18.0"], id="percentage"),
+        # The computed regulatory mean is 2.2143, and the mean tolerance 0.05.
+        pytest.param(lambda r: r["summary"]["means"].update(regulatory=2.265),
+                     ["mean.regulatory: computed 2.214 != target 2.265"],
+                     id="mean-just-outside"),
+        pytest.param(lambda r: r["summary"]["means"].update(regulatory=2.264), [],
+                     id="mean-just-inside"),
+        # The computed usability SD is 1.9444: within usability_sd (0.15) of
+        # 2.09, though not within sd (0.05).
+        pytest.param(lambda r: r["summary"]["sds"].update(usability=2.09), [],
+                     id="usability-sd-inside"),
+        pytest.param(lambda r: r["summary"]["sds"].update(usability=2.1),
+                     ["sd.usability: computed 1.944 != target 2.1"], id="usability-sd-outside"),
+        pytest.param(lambda r: r["summary"]["overall_min"].update(apps=["A4"]),
+                     ["overall_min: computed [15, ['A4', 'A22']] != target [15, ['A4']]"],
+                     id="overall-min-apps"),
+        # Two huge grades: the SMOG mean is exact, so its sum cannot overflow.
+        pytest.param(lambda r: [row.update(smog=1e308) for row in r["apps"][:2]],
+                     ["mean.usability: computed 6.857 != target 6.96",
+                      "mean.overall: computed 18.786 != target 18.89",
+                      "smog_mean: computed 7.407407407407407e+306 != target 11.99"],
+                     id="smog-huge"),
+    ])
+    def test_summary_targets_pass_or_fail_each_on_its_own_line(self, runner, tmp_path, edit,
+                                                               fails):
+        expected = tmp_path / "reference.json"
+        expected.write_text(json.dumps(edited(FIXTURES / "reference_results.json", edit)))
+        result = invoke(runner, ["verify", "--expected", str(expected)])
+        lines = result.output.splitlines()
+        assert [line for line in lines if line.startswith("FAIL summary ")] == [
+            f"FAIL summary {fail}" for fail in fails]
+        assert (result.exit_code, lines[-1]) == (
+            (1, "verification: FAIL") if fails else (0, "verification: PASS"))
+
+    def test_corpus_without_a_readable_policy_fails_the_smog_mean(self, runner, tmp_path):
+        codebook = edited(FIXTURES / "codebook.json", lambda cb: cb.update(
+            records=[r for r in cb["records"] if r["pseudonym"] == "A24"],
+            annotations=[a for a in cb["annotations"] if a["app"] == "A24"]))
+        reference = edited(FIXTURES / "reference_results.json", lambda r: r.update(
+            apps=[row for row in r["apps"] if row["pseudonym"] == "A24"]))
+        (tmp_path / "cb.json").write_text(json.dumps(codebook))
+        (tmp_path / "ref.json").write_text(json.dumps(reference))
+        result = invoke(runner, ["verify", "--codebook", str(tmp_path / "cb.json"),
+                                 "--expected", str(tmp_path / "ref.json")])
+        assert result.exit_code == 1
+        assert "FAIL summary smog_mean: computed None != target 11.99" in result.output
 
     def test_unknown_flag_exit_2(self, runner):
         result = invoke(runner, ["verify", "--bogus"])

@@ -507,6 +507,15 @@ class TestCache:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_entry_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            cache_put(tmp_path, "https://a1.example/", self._doc())
+        finally:
+            os.umask(old)
+        (entry,) = tmp_path.glob("*.json")
+        assert entry.stat().st_mode & 0o777 == 0o640
+
     def test_corrupt_entry_raises_typed_error_naming_file(self, tmp_path):
         url = "https://a1.example/privacy"
         cache_put(tmp_path, url, self._doc())
