@@ -87,8 +87,8 @@ def main() -> None:
 @click.option("--cache", type=click.Path(), default=None,
               help="Cache directory (falls back to $PRAF_CACHE).")
 @click.option("--offline", is_flag=True, help="Never touch the network; replay the cache.")
-@click.option("--jobs", type=int, default=pipeline.DEFAULT_JOBS, show_default=True,
-              help="Concurrent fetch workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=pipeline.DEFAULT_JOBS,
+              show_default=True, help="Concurrent fetch workers.")
 @click.option("--respect-robots/--ignore-robots", default=True, show_default=True)
 def fetch(codebook, cache, offline, jobs, respect_robots):
     """Fetch privacy policies into the cache and print a status manifest."""

@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
+from urllib.parse import urlsplit
 
 from .detect import DIMENSIONS, DetectionDimension, Verdict
 from .errors import MalformedCodebook, read_json
@@ -49,8 +50,16 @@ class AppRecord:
     def __post_init__(self):
         if not PSEUDONYM_RE.match(self.pseudonym):
             raise MalformedCodebook(
-                f"pseudonym {self.pseudonym!r} must be a letter plus a positive integer"
-            )
+                f"pseudonym {self.pseudonym!r} must be a letter plus a positive integer",
+                "pseudonym")
+        if self.policy_url is not None:  # fetch requests nothing but http(s) URLs
+            try:
+                parts = urlsplit(self.policy_url)
+            except ValueError:  # an unbalanced IPv6 bracket, say
+                parts = None
+            if not (parts and parts.scheme in ("http", "https") and parts.hostname):
+                raise MalformedCodebook(f"policy_url {self.policy_url!r} must be null or an "
+                                        "absolute http(s) URL", "policy_url")
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,8 @@ def _parse_record(obj: dict, locator: str) -> AppRecord:
             policy_url=obj["policy_url"],
             store_source=StoreSource(obj["store_source"]),
         )
-    except MalformedCodebook as exc:
-        raise MalformedCodebook(str(exc), f"{locator}.pseudonym") from None
+    except MalformedCodebook as exc:  # a bad pseudonym or policy_url
+        raise MalformedCodebook(exc.message, f"{locator}.{exc.locator}") from None
 
 
 def _parse_annotation(obj: dict, locator: str) -> AnnotationSet:

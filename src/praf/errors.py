@@ -14,7 +14,7 @@ class PrafError(Exception):
     input file, such as ``records[2].policy_url``."""
 
     def __init__(self, message: str, locator: str | None = None):
-        self.locator = locator
+        self.message, self.locator = message, locator
         super().__init__(f"{message} (at {locator})" if locator else message)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from urllib.parse import urljoin, urlparse
 
 from .errors import CorruptCache, EmptyAfterExtraction, IoFailure, read_json
 
@@ -36,8 +35,6 @@ class InaccessibleReason(Enum):
     NETWORK_ERROR = "network_error"
     HTTP_ERROR = "http_error"
     EMPTY_AFTER_EXTRACTION = "empty_after_extraction"
-    NO_URL = "no_url"
-    NO_CACHE = "no_cache"
     ROBOTS_BLOCKED = "robots_blocked"
 
 
@@ -108,29 +105,25 @@ class UrllibTransport:
             return resp.status, resp.headers.get("Content-Type", ""), resp.read(), resp.url
 
 
-def _robots_allows(url: str, transport, timeout: float) -> bool:
+def robots_rules(robots_url: str, transport, timeout: float = DEFAULT_TIMEOUT):
+    """A predicate: may this agent request a URL that ``robots_url`` governs?
+    A robots.txt that cannot be read, at the one request made, blocks nothing."""
     from urllib.robotparser import RobotFileParser
-    parsed = urlparse(url)
-    robots_url = urljoin(f"{parsed.scheme}://{parsed.netloc}", "/robots.txt")
     try:
         status, _, body, _ = transport.get(robots_url, timeout)
     except Exception:
-        return True  # unreachable robots.txt does not block
+        status = None
     if status != 200:
-        return True
+        return lambda url: True
     parser = RobotFileParser()
     parser.parse(body.decode("utf-8", errors="replace").splitlines())
-    return parser.can_fetch(DEFAULT_USER_AGENT, url)
+    return lambda url: parser.can_fetch(DEFAULT_USER_AGENT, url)
 
 
-def _read_local(url: str) -> RawFetch | FetchFailure:
-    path = Path(urlparse(url).path) if url.startswith("file://") else Path(url)
-    try:
-        body = path.read_bytes()
-    except OSError as exc:
-        return FetchFailure(url, InaccessibleReason.NETWORK_ERROR, detail=str(exc))
-    content_type = "text/html" if path.suffix.lower() in {".html", ".htm"} else "text/plain"
-    return RawFetch(url=url, final_url=url, body=body, content_type=content_type, status=200)
+def transient(reason: InaccessibleReason | None, status: int | None) -> bool:
+    """Whether fetch_policy retries a failure: a network error or an HTTP 5xx."""
+    return reason is InaccessibleReason.NETWORK_ERROR or (
+        reason is InaccessibleReason.HTTP_ERROR and (status or 0) >= 500)
 
 
 def fetch_policy(
@@ -138,37 +131,28 @@ def fetch_policy(
     timeout: float = DEFAULT_TIMEOUT,
     *,
     retries: int = DEFAULT_RETRIES,
-    transport=None,
-    respect_robots: bool = False,
+    transport,
 ) -> RawFetch | FetchFailure:
     """GET a policy page. 2xx yields the body and final URL after redirects;
     anything else (HTTP errors, timeouts, DNS failures) yields FetchFailure.
     Network errors and 5xx responses are retried with exponential backoff,
-    at most `retries` extra attempts. file:// URLs and bare paths are read
-    from disk."""
-    if not urlparse(url).scheme or url.startswith("file://"):
-        return _read_local(url)
-    if transport is None:
-        transport = UrllibTransport()
-    if respect_robots and not _robots_allows(url, transport, timeout):
-        return FetchFailure(url, InaccessibleReason.ROBOTS_BLOCKED,
-                            detail="blocked by robots.txt")
-    last_failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR)
+    at most `retries` extra attempts."""
+    failure = None
     for attempt in range(retries + 1):
         if attempt:
             time.sleep(0.5 * 2 ** (attempt - 1))
         try:
             status, content_type, body, final_url = transport.get(url, timeout)
         except Exception as exc:
-            last_failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR, detail=str(exc))
+            failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR, detail=str(exc))
             continue
         if 200 <= status < 300:
             return RawFetch(url=url, final_url=str(final_url), body=body,
                             content_type=content_type, status=status)
-        last_failure = FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=status)
-        if status < 500:
-            break  # client errors are not transient
-    return last_failure
+        failure = FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=status)
+        if not transient(failure.reason, status):
+            break
+    return failure
 
 
 # --- extraction ---------------------------------------------------------------
@@ -250,25 +234,19 @@ def extract_text(raw: bytes, content_type: str = "") -> str:
 def document_from_fetch(app: str, outcome: RawFetch | FetchFailure,
                         fetched_at: datetime | None = None) -> PolicyDocument:
     """Build the cached document for a fetch outcome, running extraction."""
-    ts = fetched_at or datetime.now(timezone.utc)
+    text, reason, content_type = "", None, None
     if isinstance(outcome, FetchFailure):
-        return PolicyDocument(
-            app=app, source=outcome.url, raw=b"", text="", fetched_at=ts,
-            accessible=False, reason=outcome.reason, http_status=outcome.status,
-        )
-    try:
-        text = extract_text(outcome.body, outcome.content_type)
-    except EmptyAfterExtraction:
-        return PolicyDocument(
-            app=app, source=outcome.final_url, raw=outcome.body, text="",
-            fetched_at=ts, accessible=False,
-            reason=InaccessibleReason.EMPTY_AFTER_EXTRACTION,
-            http_status=outcome.status, content_type=outcome.content_type,
-        )
+        source, raw, reason = outcome.url, b"", outcome.reason
+    else:
+        source, raw, content_type = outcome.final_url, outcome.body, outcome.content_type
+        try:
+            text = extract_text(raw, content_type)
+        except EmptyAfterExtraction:
+            reason = InaccessibleReason.EMPTY_AFTER_EXTRACTION
     return PolicyDocument(
-        app=app, source=outcome.final_url, raw=outcome.body, text=text,
-        fetched_at=ts, accessible=True, http_status=outcome.status,
-        content_type=outcome.content_type,
+        app=app, source=source, raw=raw, text=text,
+        fetched_at=fetched_at or datetime.now(timezone.utc), accessible=reason is None,
+        reason=reason, http_status=outcome.status, content_type=content_type,
     )
 
 

@@ -1,9 +1,9 @@
 """Pipeline orchestration shared by the CLI commands.
 
 fetch: resolve each codebook record to a cached PolicyDocument (live HTTP or
-cache/offline replay). Only the page requests run on a bounded thread pool,
-since they wait on the network; extraction and cache writes run on the
-calling thread.
+cache/offline replay). Only requests (each origin's robots.txt, the pages)
+run on a bounded thread pool, since they wait on the network; extraction and
+cache writes run on the calling thread.
 audit: analyse each policy once, detect and compute readability from that one
 analysis, then apply the annotation overrides and score in
 :func:`audit_from_findings`, which verify shares to score the reference
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urljoin
 
 from .corpus import AppRecord, Codebook
 from .detect import (
@@ -28,12 +29,16 @@ from .detect import (
     no_findings,
 )
 from .ingest import (
+    FetchFailure,
     InaccessibleReason,
     PolicyDocument,
+    UrllibTransport,
     cache_get,
     cache_put,
     document_from_fetch,
     fetch_policy,
+    robots_rules,
+    transient,
 )
 from .readability import ReadabilityResult, analyze, smog_grade
 from .score import PrafProfile, score_app
@@ -44,14 +49,15 @@ DEFAULT_JOBS = 4
 # --- fetch ---------------------------------------------------------------------
 
 
-def _manifest_entry(app: str, url: str, doc: PolicyDocument, cached: bool) -> dict:
-    entry = {"app": app, "url": url, "cached": cached}
-    if doc.accessible:
-        entry["status"] = "accessible"
-        entry["text_chars"] = len(doc.text)
+def _manifest_entry(rec: AppRecord, doc: PolicyDocument | None, cached: bool) -> dict:
+    """An app's manifest line; doc is None without a URL, or offline without a cache entry."""
+    entry = {"app": rec.pseudonym, "url": rec.policy_url, "cached": cached}
+    if doc is None:
+        entry.update(status="inaccessible", reason="no_cache" if rec.policy_url else "no_url")
+    elif doc.accessible:
+        entry.update(status="accessible", text_chars=len(doc.text))
     else:
-        entry["status"] = "inaccessible"
-        entry["reason"] = doc.reason.value
+        entry.update(status="inaccessible", reason=doc.reason.value)
         if doc.http_status:
             entry["http_status"] = doc.http_status
     return entry
@@ -61,41 +67,45 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
                  jobs: int = DEFAULT_JOBS, transport=None,
                  respect_robots: bool = False) -> list[dict]:
     """Fetch/refresh every record's policy; returns one manifest entry per app
-    in codebook order. Failures are recorded per app, never raised.
-
-    Only the page requests run on the pool of ``jobs`` threads, since they
-    wait on the network; the CPU-bound steps run on the calling thread, where
-    threads would only take turns under the interpreter lock. All cache
-    lookups come first, so a corrupt entry stops the run before any request
-    is sent. Then each fetched page is extracted and written to the cache in
-    codebook order while the pool fetches the pages that follow it."""
+    in codebook order. Failures are recorded per app, never raised. Online, an
+    app is requested when it has no cache entry or one that fetch_policy would
+    retry; offline, the cache is replayed. Only requests run on the pool of
+    ``jobs`` threads, since they wait on the network: with ``respect_robots``,
+    each origin's robots.txt once, before its pages. All cache lookups come
+    first, so a corrupt entry stops the run before any request is sent. The
+    calling thread extracts and caches each page in codebook order."""
     # Imported here: audit and verify never fetch, so they should not load
     # concurrent.futures (and the logging it pulls in).
     from concurrent.futures import ThreadPoolExecutor
     records = codebook.records
-    cached = [cache_get(cache_dir, rec.policy_url) if rec.policy_url else None
-              for rec in records]
-    stale = [] if offline else [rec.policy_url for rec, doc in zip(records, cached)
-                                if rec.policy_url and doc is None]
+    docs = [cache_get(cache_dir, rec.policy_url) if rec.policy_url else None
+            for rec in records]
+    refresh = [bool(rec.policy_url) and not offline
+               and (doc is None or transient(doc.reason, doc.http_status))
+               for rec, doc in zip(records, docs)]
+    stale = [rec.policy_url for rec, due in zip(records, refresh) if due]
+    if stale and transport is None:
+        transport = UrllibTransport()
     manifest = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        outcomes = pool.map(
-            lambda url: fetch_policy(url, transport=transport, respect_robots=respect_robots),
-            stale)
-        for rec, doc in zip(records, cached):
-            app, url = rec.pseudonym, rec.policy_url
-            if not url:
-                manifest.append({"app": app, "url": None, "status": "inaccessible",
-                                 "reason": InaccessibleReason.NO_URL.value, "cached": False})
-            elif doc is not None:
-                manifest.append(_manifest_entry(app, url, doc, cached=True))
-            elif offline:
-                manifest.append({"app": app, "url": url, "status": "inaccessible",
-                                 "reason": InaccessibleReason.NO_CACHE.value, "cached": False})
-            else:
-                doc = document_from_fetch(app, next(outcomes))
-                cache_put(cache_dir, url, doc)
-                manifest.append(_manifest_entry(app, url, doc, cached=False))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # RFC 9309 scopes robots.txt to a scheme, host and port. Every
+        # robots.txt request is queued before any page request, so a page
+        # waits only on a request that a worker has already taken.
+        robots_urls = dict.fromkeys(urljoin(u, "/robots.txt") for u in stale if respect_robots)
+        robots = {r: pool.submit(robots_rules, r, transport) for r in robots_urls}
+
+        def request(url: str):
+            if respect_robots and not robots[urljoin(url, "/robots.txt")].result()(url):
+                return FetchFailure(url, InaccessibleReason.ROBOTS_BLOCKED,
+                                    detail="blocked by robots.txt")
+            return fetch_policy(url, transport=transport)
+
+        outcomes = pool.map(request, stale)
+        for rec, doc, due in zip(records, docs, refresh):
+            if due:
+                doc = document_from_fetch(rec.pseudonym, next(outcomes))
+                cache_put(cache_dir, rec.policy_url, doc)
+            manifest.append(_manifest_entry(rec, doc, cached=doc is not None and not due))
     return manifest
 
 

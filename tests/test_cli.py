@@ -62,6 +62,12 @@ class TestFetch:
         assert result.exit_code == 2
         assert "cache" in result.output
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, runner, jobs):
+        result = invoke(runner, ["fetch", "--offline", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+
     def test_malformed_codebook_exit_2(self, runner, tmp_path):
         cb = tmp_path / "bad.json"
         cb.write_text("{broken")
@@ -117,18 +123,24 @@ class TestAudit:
             assert result.output.startswith("error: ")
             assert entry.name in result.output
 
+    @pytest.mark.parametrize("value", [7, "/etc/hostname", "file:///etc/hostname",
+                                       "data:text/plain,x", "ftp://h/p", ""])
     @pytest.mark.parametrize("command", ["audit", "fetch"])
-    def test_non_string_policy_url_exit_2_names_record(self, runner, tmp_path, command):
+    def test_policy_url_not_http_exit_2_names_record(self, runner, tmp_path, monkeypatch,
+                                                     command, value):
+        monkeypatch.setattr("praf.pipeline.UrllibTransport",
+                            lambda: pytest.fail("fetch built an HTTP client"))
         data = json.loads((FIXTURES / "codebook.json").read_text())
-        data["records"][2]["policy_url"] = 7
+        data["records"][2]["policy_url"] = value
         cb = tmp_path / "cb.json"
         cb.write_text(json.dumps(data))
-        args = ["--out", str(tmp_path / "o")] if command == "audit" else ["--offline"]
-        result = invoke(runner, [command, "--codebook", str(cb), "--cache",
-                                 str(FIXTURES / "cache"), *args])
+        cache = tmp_path / "cache"
+        args = ["--out", str(tmp_path / "o")] if command == "audit" else []
+        result = invoke(runner, [command, "--codebook", str(cb), "--cache", str(cache), *args])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
-        assert "policy_url" in result.output and "records[2]" in result.output
+        assert "(at records[2].policy_url)" in result.output
+        assert not cache.exists()
 
     @pytest.mark.parametrize("command, option, edit, locator", [
         *(pytest.param(command, "--codebook", edit, locator, id=f"{name}-{command}")
@@ -410,8 +422,9 @@ _CACHE_ENTRIES = sorted((FIXTURES / "cache").glob("*.json"))
 def test_one_bad_value_in_an_input_file_ends_in_a_stated_exit(data):
     """Replace one value at a random path of the bundled codebook, the rules
     file, the reference results or one cache entry with a random JSON value or
-    a sibling value, or delete one key: audit exits 0, 2 or 3 and verify 0, 1
-    or 2, raising nothing but SystemExit, and a verify exit 1 reports FAIL."""
+    a sibling value, or delete one key: audit exits 0, 2 or 3, verify 0, 1 or
+    2 and an offline fetch 0 or 2, raising nothing but SystemExit, and a
+    verify exit 1 reports FAIL."""
     inputs = {"--codebook": FIXTURES / "codebook.json", "--rules": RULES,
               "--expected": FIXTURES / "reference_results.json", "--cache": FIXTURES / "cache"}
     option = data.draw(st.sampled_from(sorted(inputs)))
@@ -440,7 +453,9 @@ def test_one_bad_value_in_an_input_file_ends_in_a_stated_exit(data):
                                 "--cache", str(inputs["--cache"]), "--out", str(tmp / "out")])
         verify = invoke(runner, ["verify", "--codebook", str(inputs["--codebook"]),
                                  "--expected", str(inputs["--expected"])])
-    for result, codes in [(audit, {0, 2, 3}), (verify, {0, 1, 2})]:
+        fetch = invoke(runner, ["fetch", "--offline", "--codebook", str(inputs["--codebook"]),
+                                "--cache", str(inputs["--cache"])])
+    for result, codes in [(audit, {0, 2, 3}), (verify, {0, 1, 2}), (fetch, {0, 2})]:
         assert result.exit_code in codes, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), \
             result.exc_info

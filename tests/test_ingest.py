@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
 from praf.ingest import (
@@ -31,6 +32,7 @@ from praf.ingest import (
     extract_text,
     fetch_policy,
 )
+from praf.pipeline import fetch_corpus
 from praf.readability import sentence_spans
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +54,11 @@ class FakeTransport:
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
+
+
+def _codebook(*urls):
+    return Codebook(records=tuple(AppRecord(f"A{i}", AppCategory.TELEHEALTH, policy_url=url)
+                                  for i, url in enumerate(urls, start=1)))
 
 
 # Bytes with markup pieces the HTML parser treats specially mixed in.
@@ -327,28 +334,15 @@ class TestFetchPolicy:
         out = fetch_policy("https://x.example/old", transport=transport)
         assert out.final_url == "https://x.example/new"
 
-    def test_robots_disallow(self):
+    def test_robots_disallow(self, tmp_path):
         transport = FakeTransport({
             "https://x.example/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /", "https://x.example/robots.txt"),
             "https://x.example/p": (200, "text/html", b"<p>never seen</p>", "https://x.example/p"),
         })
-        out = fetch_policy("https://x.example/p", transport=transport, respect_robots=True)
-        assert isinstance(out, FetchFailure)
-        assert out.reason is InaccessibleReason.ROBOTS_BLOCKED and out.status is None
-
-    def test_local_file_fetch(self, tmp_path):
-        page = tmp_path / "policy.html"
-        page.write_text("<p>Local policy text.</p>")
-        out = fetch_policy(str(page))
-        assert isinstance(out, RawFetch)
-        assert out.content_type == "text/html"
-        doc = document_from_fetch("A1", out, TS)
-        assert doc.accessible and doc.text == "Local policy text."
-
-    def test_local_file_missing(self, tmp_path):
-        out = fetch_policy(str(tmp_path / "absent.html"))
-        assert isinstance(out, FetchFailure)
-        assert out.reason is InaccessibleReason.NETWORK_ERROR
+        [entry] = fetch_corpus(_codebook("https://x.example/p"), tmp_path, transport=transport,
+                               respect_robots=True)
+        assert entry["reason"] == "robots_blocked" and "http_status" not in entry
+        assert transport.calls == ["https://x.example/robots.txt"]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -404,13 +398,14 @@ def server(monkeypatch):
 
 class TestUrllibTransport:
     def test_five_redirects_reach_the_page(self, server):
-        out = fetch_policy(f"{server.base}/hop/5", timeout=5)
+        out = fetch_policy(f"{server.base}/hop/5", timeout=5, transport=UrllibTransport())
         assert isinstance(out, RawFetch)
         assert out.final_url == f"{server.base}/hop/0"
         assert out.body == b"<p>Policy page.</p>"
 
     def test_sixth_redirect_is_http_error_not_retried(self, server):
-        out = fetch_policy(f"{server.base}/hop/6", timeout=5, retries=2)
+        out = fetch_policy(f"{server.base}/hop/6", timeout=5, retries=2,
+                           transport=UrllibTransport())
         assert out == FetchFailure(f"{server.base}/hop/6", InaccessibleReason.HTTP_ERROR, status=302)
         assert server.hits["/hop/6"] == 1
 
@@ -419,28 +414,39 @@ class TestUrllibTransport:
         assert UrllibTransport().get(url, 5) == (404, "text/plain", b"gone", url)
 
     def test_503_is_retried(self, server):
-        out = fetch_policy(f"{server.base}/busy", timeout=5, retries=2)
+        out = fetch_policy(f"{server.base}/busy", timeout=5, retries=2,
+                           transport=UrllibTransport())
         assert out == FetchFailure(f"{server.base}/busy", InaccessibleReason.HTTP_ERROR, status=503)
         assert server.hits["/busy"] == 3
 
     def test_sends_user_agent_and_returns_content_type(self, server):
-        out = fetch_policy(f"{server.base}/page", timeout=5)
+        out = fetch_policy(f"{server.base}/page", timeout=5, transport=UrllibTransport())
         assert out.content_type == "text/html; charset=utf-8"
         assert server.user_agents == [DEFAULT_USER_AGENT]
 
-    def test_robots_txt_blocks_a_disallowed_path(self, server):
-        out = fetch_policy(f"{server.base}/private", timeout=5, respect_robots=True)
-        assert out == FetchFailure(f"{server.base}/private", InaccessibleReason.ROBOTS_BLOCKED,
-                                   detail="blocked by robots.txt")
-        assert isinstance(fetch_policy(f"{server.base}/page", timeout=5, respect_robots=True),
-                          RawFetch)
+    def test_robots_txt_blocks_a_disallowed_path(self, server, tmp_path):
+        manifest = fetch_corpus(_codebook(f"{server.base}/private", f"{server.base}/page"),
+                                tmp_path, respect_robots=True)
+        assert manifest[0] == {"app": "A1", "url": f"{server.base}/private", "cached": False,
+                               "status": "inaccessible", "reason": "robots_blocked"}
+        assert manifest[1]["status"] == "accessible"
         assert server.hits["/private"] == 0
+
+    def test_one_transport_and_one_robots_txt_per_origin(self, server, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr("praf.pipeline.UrllibTransport",
+                            lambda: built.append(UrllibTransport()) or built[-1])
+        manifest = fetch_corpus(_codebook(*(f"{server.base}/p{i}" for i in range(3))),
+                                tmp_path, jobs=3, respect_robots=True)
+        assert [m["status"] for m in manifest] == ["accessible"] * 3
+        assert server.hits["/robots.txt"] == 1 and len(built) == 1
 
     def test_refused_connection_is_network_error(self, server):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        out = fetch_policy(f"http://127.0.0.1:{port}/p", timeout=5, retries=1)
+        out = fetch_policy(f"http://127.0.0.1:{port}/p", timeout=5, retries=1,
+                           transport=UrllibTransport())
         assert isinstance(out, FetchFailure)
         assert out.reason is InaccessibleReason.NETWORK_ERROR
 
@@ -469,7 +475,7 @@ class TestDocumentFromFetch:
             PolicyDocument("A1", "u", b"", "", TS, accessible=True)
         with pytest.raises(ValueError):
             PolicyDocument("A1", "u", b"", "text", TS, accessible=False,
-                           reason=InaccessibleReason.NO_URL)
+                           reason=InaccessibleReason.HTTP_ERROR)
         with pytest.raises(ValueError):
             PolicyDocument("A1", "u", b"", "", TS, accessible=False)
 

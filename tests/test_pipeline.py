@@ -106,6 +106,29 @@ class TestFetchCorpus:
         assert [m["status"] for m in manifest] == ["accessible", "accessible", "inaccessible"]
         assert threads == [threading.get_ident()] * 2
 
+    def test_failures_retried_within_a_run_are_requested_again_online(self, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.setattr("praf.ingest.time.sleep", lambda s: None)
+        urls = [f"https://a{i}.example/privacy" for i in range(1, 5)]
+        cb = Codebook(records=tuple(AppRecord(f"A{i}", AppCategory.TELEHEALTH, policy_url=url)
+                                    for i, url in enumerate(urls, start=1)))
+        fetch_corpus(cb, tmp_path, transport=FakeTransport({
+            urls[0]: ConnectionError("dns blip"),
+            urls[1]: (503, "text/html", b"", urls[1]),
+            urls[2]: (404, "text/html", b"", urls[2]),
+            urls[3]: (302, "text/html", b"", urls[3]),
+        }))
+        offline = fetch_corpus(cb, tmp_path, offline=True)
+        assert [(m["reason"], m["cached"]) for m in offline] == [
+            ("network_error", True), ("http_error", True), ("http_error", True),
+            ("http_error", True)]
+        manifest = fetch_corpus(cb, tmp_path, transport=FakeTransport({
+            url: (200, "text/html", b"<p>Back online.</p>", url) for url in urls[:2]}))
+        assert [(m["status"], m["cached"]) for m in manifest] == [
+            ("accessible", False), ("accessible", False), ("inaccessible", True),
+            ("inaccessible", True)]
+        assert cache_get(tmp_path, urls[1]).accessible
+
     def test_robots_block_is_recorded_as_such(self, tmp_path):
         transport = FakeTransport({
             "https://a1.example/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /", "https://a1.example/robots.txt"),
