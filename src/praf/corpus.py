@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .detect import DIMENSIONS, DetectionDimension, Verdict
 from .errors import MalformedCodebook, read_json
@@ -55,7 +55,8 @@ class AppRecord:
         if self.policy_url is not None:  # fetch requests nothing but http(s) URLs
             try:
                 parts = urlsplit(self.policy_url)
-            except ValueError:  # an unbalanced IPv6 bracket, say
+                urlsplit(unquote(self.policy_url))  # as robots.txt matching parses it
+            except ValueError:  # an unbalanced IPv6 bracket, plain or percent-encoded
                 parts = None
             if not (parts and parts.scheme in ("http", "https") and parts.hostname):
                 raise MalformedCodebook(f"policy_url {self.policy_url!r} must be null or an "

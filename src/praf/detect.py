@@ -10,28 +10,27 @@ case-insensitive phrases; a trailing ``*`` on a word matches any suffix
 ("encrypt*" hits "encrypted"), and ``a ~ b`` requires both sub-patterns
 within one sentence.
 
-Each pattern keeps lowercase literals that tell where it can match, read off
-the document's ``FOLD`` copy (:class:`~praf.readability.AnalyzedText`):
+Evidence is scoped to one sentence. :func:`_evidence` is the one place a
+pattern is matched: it runs the pattern on each sentence of the text by
+itself, so no match crosses a sentence boundary. A phrase yields every
+``finditer`` match inside a sentence; a proximity pattern yields, for each
+sentence where every side occurs, the span from the first side match to the
+last. The regulation and principle detectors keep these spans as evidence;
+the language detectors keep the sentences, each with the first rule in rule
+order that hits it; the retention duration is read from the sentences of the
+strong hits.
 
-- the *anchor* of a plain phrase, its first word: every match starts with it.
-  The phrase regex is tried only at the anchor's occurrences in the document,
-  with ``match`` at that position; after a hit the scan resumes at the
-  match's end, after a miss one character on.
-- the *needle* of each side, its longest ASCII word: every match of the side
-  contains it. Patterns matched sentence by sentence (proximity patterns and
-  the two language detectors) run only on the *candidate sentences*, those
-  whose span holds an occurrence of every needle.
-
-So a pattern whose literal is absent from the document never runs. Both are
-exact. ``FOLD`` keeps offsets and maps each character that ``re.IGNORECASE``
-equates with an ASCII character to that character, so a match of an ASCII
-literal shows as the literal at the same offset of the folded text. ``match``
-at a position sees the text before it, so ``\\b`` behaves as in ``finditer``,
-and resuming at a match's end keeps matches disjoint as ``finditer`` does.
-Literals come from ASCII words only; a side with no ASCII word, or a phrase
-whose first word is not ASCII, gets the empty literal, which occurs
-everywhere: the anchor scan then tries every position and every sentence is
-a candidate.
+Each side of a pattern keeps a *needle*, its longest ASCII word lowercased:
+every match of the side contains it in the document's ``FOLD`` copy
+(:class:`~praf.readability.AnalyzedText`). A pattern runs only on its
+*candidate sentences*, those whose span holds every needle, which
+``str.find`` locates in the folded text; a pattern whose needle is absent
+from the document never runs. This is exact: ``FOLD`` keeps offsets and maps
+each character that ``re.IGNORECASE`` equates with an ASCII character to that
+character. A side with no ASCII word gets the empty needle, which every
+sentence holds. The regex runs with ``pos`` and ``endpos`` on the whole text,
+which reads like the sentence alone: the character before a sentence is
+never a word character, so ``\\b`` at its start sees the same boundary.
 
 For the language detectors, ``ambiguous_language.strong`` holds the hedge
 terms and ``vague_commitments`` uses ``strong`` for generic assurances with
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (NUMBER, MalformedRules, NoSentences, UnknownDimension, UnsupportedDimension,
                      read_json)
@@ -185,18 +184,10 @@ class CompiledPattern:
     rule_id: str
     regex: re.Pattern | None            # plain phrase
     parts: tuple[re.Pattern, ...] = ()  # proximity sub-patterns (all in one sentence)
-    # Per side, a literal every match of the side contains; the candidate
-    # sentences of the pattern are those that hold every needle.
+    # Per side, a literal every match of the side contains ("" when the side
+    # has no ASCII word); the candidate sentences of the pattern are those
+    # that hold every needle.
     needles: tuple[str, ...] = ()
-    # Plain phrase: the literal every match starts with (its first word); the
-    # regex is tried only where it occurs. "" tries every position.
-    anchor: str = ""
-
-    def matches_in(self, text: str) -> bool:
-        """True when the pattern re-matches inside the given text slice."""
-        if self.regex is not None:
-            return self.regex.search(text) is not None
-        return all(p.search(text) for p in self.parts)
 
 
 def _phrase_regex(phrase: str) -> re.Pattern:
@@ -220,14 +211,6 @@ def _needle(phrase: str) -> str:
     return max(literals, key=len, default="")
 
 
-def _anchor(phrase: str) -> str:
-    """The phrase's first word without its ``*``, lowercased. Every match of
-    the phrase's regex starts with it in the ``FOLD`` copy of the text, which
-    is exact only for ASCII; a first word with a non-ASCII character gives ""."""
-    first = phrase.split()[0]
-    return first.removesuffix("*").lower() if first.isascii() else ""
-
-
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
     try:
         if "~" in raw:
@@ -239,7 +222,7 @@ def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
                                    needles=tuple(_needle(side) for side in sides))
         regex = _phrase_regex(raw)
         return CompiledPattern(raw=raw, rule_id=rule_id, regex=regex,
-                               needles=(_needle(raw),), anchor=_anchor(raw))
+                               needles=(_needle(raw),))
     except re.error as exc:
         raise MalformedRules(f"pattern {raw!r} does not compile: {exc}") from exc
 
@@ -301,80 +284,57 @@ def default_rules_path() -> Path:
 
 
 def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText,
-                         within: Iterable[int] | None = None) -> set[int]:
-    """Indices of the sentences (of ``within``, if given) whose span holds an
-    occurrence of every needle of the pattern; no other sentence can match it."""
+                         within: Container[int] | None = None) -> list[int]:
+    """Indices, in text order, of the sentences (of ``within``, if given)
+    whose span holds an occurrence of every needle of the pattern; no other
+    sentence can match it."""
     spans, folded = doc.sentence_spans, doc.folded
-    candidates = set(range(len(spans)) if within is None else within)
+    candidates: list[int] = []
     for needle in pattern.needles:
-        if not candidates:
-            break
-        holding: set[int] = set()
+        candidates = []  # in text order, each sentence once
         i = folded.find(needle)
         while i != -1:
             k = bisect_right(spans, i, key=itemgetter(0)) - 1  # last sentence starting at or before i
-            if k >= 0 and i + len(needle) <= spans[k][1]:
-                holding.add(k)
+            # the occurrence starts and ends in sentence k (an empty one too)
+            if k >= 0 and i < spans[k][1] and i + len(needle) <= spans[k][1]:
+                if within is None or k in within:
+                    candidates.append(k)
                 i = max(i, spans[k][1] - 1)  # the next sentence starts at or after this one's end
             i = folded.find(needle, i + 1)
-        candidates &= holding
+        if not candidates:
+            break
+        within = set(candidates)
     return candidates
 
 
-def _sentence_hits(patterns: tuple[CompiledPattern, ...], doc: AnalyzedText,
-                   within: Iterable[int] | None = None) -> dict[int, CompiledPattern]:
-    """Each sentence (of ``within``, if given) that some pattern matches, in
-    text order, with the first pattern in rule order that matches it."""
-    screened = [(p, _candidate_sentences(p, doc, within)) for p in patterns]
-    hits: dict[int, CompiledPattern] = {}
-    for k in sorted(set().union(*(cands for _, cands in screened))):
-        a, b = doc.sentence_spans[k]
-        segment = doc.text[a:b]
-        hit = next((p for p, cands in screened if k in cands and p.matches_in(segment)), None)
-        if hit is not None:
-            hits[k] = hit
-    return hits
+def _evidence(pattern: CompiledPattern, doc: AnalyzedText,
+              within: Container[int] | None = None) -> Iterator[tuple[int, EvidenceSpan]]:
+    """Each evidence span of one pattern in the sentences (of ``within``, if
+    given), in text order, with the index of its sentence: every match of a
+    phrase, and for a proximity pattern the span covering the first match of
+    each side."""
+    text, spans, rule_id = doc.text, doc.sentence_spans, pattern.rule_id
+    for k in _candidate_sentences(pattern, doc, within):
+        a, b = spans[k]
+        if pattern.regex is not None:
+            for m in pattern.regex.finditer(text, a, b):
+                yield k, EvidenceSpan(m.start(), m.end(), rule_id)
+        else:
+            sides = [p.search(text, a, b) for p in pattern.parts]
+            if all(sides):
+                yield k, EvidenceSpan(min(m.start() for m in sides),
+                                      max(m.end() for m in sides), rule_id)
 
 
-def _pattern_spans(pattern: CompiledPattern, doc: AnalyzedText) -> list[EvidenceSpan]:
-    """All evidence spans for one pattern; proximity patterns yield the covering
-    span of their sub-matches within each sentence where all sides occur."""
-    spans: list[EvidenceSpan] = []
-    text, folded = doc.text, doc.folded
-    if pattern.regex is not None:
-        anchor, match = pattern.anchor, pattern.regex.match
-        i = folded.find(anchor)
-        while i != -1:
-            m = match(text, i)
-            if m is None:
-                i += 1
-            else:
-                spans.append(EvidenceSpan(m.start(), m.end(), pattern.rule_id))
-                i = max(m.end(), i + 1)  # an empty match cannot stall the scan
-            i = folded.find(anchor, i)
-        return spans
-    for k in sorted(_candidate_sentences(pattern, doc)):
-        a, b = doc.sentence_spans[k]
-        segment = text[a:b]
-        hits = [p.search(segment) for p in pattern.parts]
-        if all(hits):
-            start = a + min(h.start() for h in hits)
-            end = a + max(h.end() for h in hits)
-            spans.append(EvidenceSpan(start, end, pattern.rule_id))
-    return spans
-
-
-def _collect(patterns: tuple[CompiledPattern, ...],
-             doc: AnalyzedText) -> tuple[tuple[EvidenceSpan, ...], list[str]]:
-    spans: list[EvidenceSpan] = []
-    matched: list[str] = []
-    for pat in patterns:
-        found = _pattern_spans(pat, doc)
-        if found:
-            matched.append(pat.raw)
-            spans.extend(found)
-    spans.sort(key=lambda s: (s.start, s.end, s.rule_id))
-    return tuple(spans), matched
+def _first_rule_by_sentence(patterns: tuple[CompiledPattern, ...],
+                            doc: AnalyzedText) -> dict[int, str]:
+    """Each sentence that some pattern matches, in text order, with the rule
+    id of the first pattern in rule order that matches it."""
+    first: dict[int, str] = {}
+    for pattern in patterns:
+        for k, span in _evidence(pattern, doc):
+            first.setdefault(k, span.rule_id)
+    return dict(sorted(first.items()))
 
 
 def detect_regulations(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
@@ -387,41 +347,41 @@ _DURATION_RE = re.compile(r"\b(\d+)\s*(day|week|month|year)s?\b", re.IGNORECASE)
 _DAYS_PER_UNIT = {"day": 1, "week": 7, "month": 30, "year": 365}
 
 
-def _retention_detail(doc: AnalyzedText, spans: tuple[EvidenceSpan, ...]) -> Mapping | None:
-    """Duration found in any sentence that holds a retention match."""
-    for a, b in doc.sentence_spans:
-        if any(a <= s.start < b for s in spans):
-            m = _DURATION_RE.search(doc.text[a:b])
-            if m:
-                value = int(m.group(1))
-                unit = m.group(2).lower()
-                return {
-                    "duration_value": value,
-                    "duration_unit": unit,
-                    "duration_days": value * _DAYS_PER_UNIT[unit],
-                }
+def _retention_detail(doc: AnalyzedText, sentences: Iterable[int]) -> Mapping | None:
+    """The first duration (a number and a unit) in the given sentences."""
+    for k in sentences:
+        m = _DURATION_RE.search(doc.text, *doc.sentence_spans[k])
+        if m:
+            value = int(m.group(1))
+            unit = m.group(2).lower()
+            return {
+                "duration_value": value,
+                "duration_unit": unit,
+                "duration_days": value * _DAYS_PER_UNIT[unit],
+            }
     return None
 
 
 def _phrase_finding(doc: AnalyzedText, dim: DetectionDimension, rules: RuleSet) -> Finding:
     """Strong rules assert an explicit statement (yes); weak rules alone read as
     hedged coverage (partial). A yes for other_regulation names the matched
-    regulations; a yes for retention carries a duration when a number+unit
-    appears in a sentence with retention language."""
+    regulations; a yes for retention carries the first duration (number and
+    unit) in a sentence with a strong retention match."""
     dr = rules.rules_for(dim)
-    strong_spans, matched = _collect(dr.strong, doc)
-    if strong_spans:
-        detail = None
-        if dim is DetectionDimension.OTHER_REGULATION:
-            names = sorted({REGULATION_ALIASES.get(raw.lower(), raw) for raw in matched})
-            detail = {"regulations": names}
-        elif dim is DetectionDimension.RETENTION_TIME:
-            detail = _retention_detail(doc, strong_spans)
-        return Finding(dim, Verdict.YES, strong_spans, detail)
-    weak_spans, _ = _collect(dr.weak, doc)
-    if weak_spans:
-        return Finding(dim, Verdict.PARTIAL, weak_spans)
-    return Finding(dim, Verdict.NO)
+    for verdict, patterns in ((Verdict.YES, dr.strong), (Verdict.PARTIAL, dr.weak)):
+        hits = [(k, span, p.raw) for p in patterns for k, span in _evidence(p, doc)]
+        if hits:
+            break
+    else:
+        return Finding(dim, Verdict.NO)
+    detail = None
+    if verdict is Verdict.YES and dim is DetectionDimension.OTHER_REGULATION:
+        detail = {"regulations": sorted({REGULATION_ALIASES.get(raw.lower(), raw)
+                                         for _, _, raw in hits})}
+    elif verdict is Verdict.YES and dim is DetectionDimension.RETENTION_TIME:
+        detail = _retention_detail(doc, sorted({k for k, _, _ in hits}))
+    evidence = sorted((span for _, span, _ in hits), key=lambda s: (s.start, s.end, s.rule_id))
+    return Finding(dim, verdict, tuple(evidence), detail)
 
 
 def detect_principle(text: str | AnalyzedText, dimension: DetectionDimension,
@@ -442,8 +402,8 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
         raise NoSentences("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
     partial_at, yes_at = dr.thresholds["partial_density"], dr.thresholds["yes_density"]
-    spans = [EvidenceSpan(*sentences[k], pat.rule_id)
-             for k, pat in _sentence_hits(dr.strong, doc).items()]
+    spans = [EvidenceSpan(*sentences[k], rule_id)
+             for k, rule_id in _first_rule_by_sentence(dr.strong, doc).items()]
     density = len(spans) / len(sentences)
     detail = {"hedged_sentences": len(spans), "sentences": len(sentences),
               "density": round(density, 4)}
@@ -459,10 +419,11 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
     yes_at = dr.thresholds["yes_sentences"]
-    claims = _sentence_hits(dr.strong, doc)
-    mechanisms = _sentence_hits(dr.weak, doc, within=claims)  # a named safeguard defuses a claim
-    spans = [EvidenceSpan(*doc.sentence_spans[k], pat.rule_id)
-             for k, pat in claims.items() if k not in mechanisms]
+    claims = _first_rule_by_sentence(dr.strong, doc)
+    # A named safeguard in the same sentence defuses a claim.
+    defused = {k for p in dr.weak for k, _ in _evidence(p, doc, within=claims)}
+    spans = [EvidenceSpan(*doc.sentence_spans[k], rule_id)
+             for k, rule_id in claims.items() if k not in defused]
     detail = {"vague_sentences": len(spans)}
     verdict = Verdict.NO if not spans else Verdict.YES if len(spans) >= yes_at else Verdict.PARTIAL
     return Finding(DetectionDimension.VAGUE_COMMITMENTS, verdict, tuple(spans), detail)

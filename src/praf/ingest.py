@@ -107,8 +107,17 @@ class UrllibTransport:
 
 def robots_rules(robots_url: str, transport, timeout: float = DEFAULT_TIMEOUT):
     """A predicate: may this agent request a URL that ``robots_url`` governs?
-    A robots.txt that cannot be read, at the one request made, blocks nothing."""
+    A robots.txt that cannot be read, at the one request made, blocks nothing;
+    a line that urllib cannot parse (``Disallow: //[``) is ignored."""
     from urllib.robotparser import RobotFileParser
+
+    def parses(line: str) -> bool:
+        try:
+            RobotFileParser().parse(["User-agent: *", line])
+        except ValueError:  # an unbalanced IPv6 bracket in a rule's path
+            return False
+        return True
+
     try:
         status, _, body, _ = transport.get(robots_url, timeout)
     except Exception:
@@ -116,7 +125,7 @@ def robots_rules(robots_url: str, transport, timeout: float = DEFAULT_TIMEOUT):
     if status != 200:
         return lambda url: True
     parser = RobotFileParser()
-    parser.parse(body.decode("utf-8", errors="replace").splitlines())
+    parser.parse(filter(parses, body.decode("utf-8", errors="replace").splitlines()))
     return lambda url: parser.can_fetch(DEFAULT_USER_AGENT, url)
 
 

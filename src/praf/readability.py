@@ -133,25 +133,39 @@ def _token_before(text: str, i: int) -> str:
     return text[j:i].lower().strip(".")
 
 
-def _boundary_ok(text: str, j: int) -> bool:
-    """A terminator run ending at j splits only before an uppercase letter,
-    digit, opening quote, or end of text."""
-    k = j + 1
+def _hard_wrap(text: str, i: int) -> bool:
+    """The newline at i continues its sentence: spaces or tabs, then a
+    lowercase letter follow it."""
+    k = i + 1
     while k < len(text) and text[k] in " \t":
         k += 1
-    if k >= len(text) or text[k] == "\n":
+    return k < len(text) and text[k].islower()
+
+
+def _boundary_ok(text: str, j: int) -> bool:
+    """A terminator run ending at j splits only before an uppercase letter,
+    digit, opening quote, a newline that is not a hard wrap, or end of text.
+    Any other whitespace may come between (a no-break space, say)."""
+    k = j + 1
+    while k < len(text) and text[k] != "\n" and text[k].isspace():
+        k += 1
+    if k >= len(text):
         return True
     c = text[k]
+    if c == "\n":
+        return not _hard_wrap(text, k)
     return c.isupper() or c.isdigit() or c in "\"'“‘("
 
 
 def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Deterministic sentence boundaries as (start, end) offsets.
 
-    Splits on . ! ? and on hard newlines; a period does not split after a
-    known abbreviation or inside a decimal number. Whitespace-only segments
-    are dropped. The scan jumps from one newline or terminator to the next,
-    past the run of terminators and closers that follows a terminator.
+    Splits on . ! ? and on newlines. A period does not split after a known
+    abbreviation or inside a decimal number; a newline followed by spaces or
+    tabs and a lowercase letter is a hard wrap inside a sentence, not a
+    break. Whitespace-only segments are dropped. The scan jumps from one
+    newline or terminator to the next, past the run of terminators and
+    closers that follows a terminator.
     """
     spans: list[tuple[int, int]] = []
 
@@ -170,8 +184,9 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
         i = j = found.start()
         c = text[i]
         if c == "\n":
-            emit(start, i)
-            start = i + 1
+            if not _hard_wrap(text, i):
+                emit(start, i)
+                start = i + 1
         else:
             j = _RUN_RE.match(text, i + 1).end() - 1
             split = True

@@ -171,23 +171,6 @@ def _fmt_grade(value: float) -> str:
     return str(int(value)) if float(value) == int(value) else f"{value:.1f}"
 
 
-def parse_matrix(document: str, fmt: str) -> list[dict]:
-    """Inverse of emit_matrix for csv/json; verdicts and scores round-trip."""
-    if fmt == "json":
-        return json.loads(document)["rows"]
-    if fmt == "csv":
-        rows = []
-        for raw in csv.DictReader(io.StringIO(document)):
-            row: dict = dict(raw)
-            row["smog"] = float(raw["smog"]) if raw["smog"] else None
-            row["level"] = raw["level"] or None
-            for e in ELEMENTS:
-                row[e.column] = int(raw[e.column])
-            rows.append(row)
-        return rows
-    raise ValueError(f"unknown matrix format {fmt!r}")
-
-
 # --- per-app report -----------------------------------------------------------
 
 _EXCERPT_LIMIT = 200

@@ -24,6 +24,9 @@ def reference():
     return json.loads((FIXTURES / "reference_results.json").read_text())
 
 
-# CI runs the CLI fuzz property of test_cli.py once more under this profile;
-# the tier-1 run keeps Hypothesis's default number of examples.
+# CI runs some properties once more under this profile: the CLI fuzz property
+# of test_cli.py, the per-sentence finditer and language references of
+# test_detect.py, and the two whitespace invariance properties of
+# test_readability.py. These state no max_examples of their own, so the
+# tier-1 run keeps Hypothesis's default number of examples.
 settings.register_profile("ci", max_examples=1000)

@@ -24,9 +24,11 @@ from praf.detect import (
 )
 from praf.ingest import cache_get
 from praf.readability import ReadabilityResult, band, smog_from_counts
-from praf.report import parse_matrix, summarize
+from praf.report import summarize
 from praf.score import score_app, score_min_retention, score_security
 from praf.verify import reference_audits, run_verify
+
+from oracles import matches_in, parse_matrix
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -269,7 +271,7 @@ def test_criterion_6_detector_soundness(fixture_codebook):
                 dim_key, idx = span.rule_id.rsplit(":", 1)
                 rules_for = rules.rules_for(Dim(dim_key))
                 pattern = (rules_for.strong + rules_for.weak)[int(idx)]
-                assert pattern.matches_in(text[span.start:span.end]), span
+                assert matches_in(pattern, text[span.start:span.end]), span
     announce(6, "evidence soundness + determinism over 27 corpus texts, quoted sentences")
 
 

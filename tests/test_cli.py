@@ -124,7 +124,8 @@ class TestAudit:
             assert entry.name in result.output
 
     @pytest.mark.parametrize("value", [7, "/etc/hostname", "file:///etc/hostname",
-                                       "data:text/plain,x", "ftp://h/p", ""])
+                                       "data:text/plain,x", "ftp://h/p", "",
+                                       "http://u%5B@h.example/p"])
     @pytest.mark.parametrize("command", ["audit", "fetch"])
     def test_policy_url_not_http_exit_2_names_record(self, runner, tmp_path, monkeypatch,
                                                      command, value):

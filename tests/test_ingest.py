@@ -1,8 +1,11 @@
+import gc
 import os
 import re
 import socket
 import sys
+import tempfile
 import threading
+import time
 import unicodedata
 from collections import Counter
 from datetime import datetime, timezone
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
-from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure
+from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure, MalformedCodebook
 from praf.ingest import (
     DEFAULT_USER_AGENT,
     FetchFailure,
@@ -344,10 +347,45 @@ class TestFetchPolicy:
         assert entry["reason"] == "robots_blocked" and "http_status" not in entry
         assert transport.calls == ["https://x.example/robots.txt"]
 
+    def test_robots_line_urllib_cannot_parse_is_ignored(self, tmp_path):
+        transport = FakeTransport({
+            "https://x.example/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: //[x\n"
+                                             b"Disallow: /private\n", "https://x.example/robots.txt"),
+            "https://x.example/p": (200, "text/html", b"<p>Policy page.</p>", "https://x.example/p"),
+        })
+        manifest = fetch_corpus(_codebook("https://x.example/private/p", "https://x.example/p"),
+                                tmp_path, transport=transport, respect_robots=True)
+        assert [m["status"] for m in manifest] == ["inaccessible", "accessible"]
+        assert manifest[0]["reason"] == "robots_blocked"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["u", "@", ":", "%5B", "%5b", "%5D", "[", "]", "::1", "%40",
+                                     "%2F", "/", "h.example", "%25"]), max_size=8).map("".join),
+           st.sampled_from(["", "/p", "/private/p", "/p%5B"]))
+    def test_every_codebook_url_passes_the_robots_txt_check(self, authority, path):
+        # Percent-decoding a URL can unbalance its brackets ("u%5B@h"):
+        # the codebook rejects such a URL, or its robots.txt check runs.
+        url = f"http://{authority}{path}"
+        try:
+            codebook = _codebook(url)
+        except MalformedCodebook:
+            return
+
+        class Site:
+            def get(self, url, timeout):
+                if url.endswith("/robots.txt"):
+                    return 200, "text/plain", b"User-agent: *\nDisallow: /private", url
+                return 200, "text/html", b"<p>Policy page.</p>", url
+
+        with tempfile.TemporaryDirectory() as cache:
+            [entry] = fetch_corpus(codebook, Path(cache), transport=Site(), respect_robots=True)
+        assert entry["status"] == "accessible" or entry["reason"] == "robots_blocked"
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes: /hop/N redirects N times before the page, /missing is a 404,
-    /busy a 503, /robots.txt disallows /private; anything else is a page."""
+    /busy a 503, /stall a 503 whose body stops for half a second after two of
+    its ten bytes, /robots.txt disallows /private; anything else is a page."""
 
     def do_GET(self):
         self.server.hits[self.path] += 1
@@ -359,6 +397,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, b"gone", "text/plain")
         elif self.path == "/busy":
             self._reply(503, b"busy", "text/plain")
+        elif self.path == "/stall":
+            self.send_response(503)
+            self.send_header("Content-Length", "10")
+            self.end_headers()
+            self.wfile.write(b"bu")
+            self.wfile.flush()
+            threading.Event().wait(0.5)  # time.sleep is patched out
         elif self.path == "/robots.txt":
             self._reply(200, b"User-agent: *\nDisallow: /private\n", "text/plain")
         else:
@@ -440,6 +485,30 @@ class TestUrllibTransport:
                                 tmp_path, jobs=3, respect_robots=True)
         assert [m["status"] for m in manifest] == ["accessible"] * 3
         assert server.hits["/robots.txt"] == 1 and len(built) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_every_response_is_closed(self, server):
+        # An error response comes as an HTTPError that holds the response
+        # and, through its traceback, itself. Read to its end, the response
+        # closes its socket; cut off by the timeout (/stall), it stays open
+        # unless closed, until a garbage collection, here switched off.
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        transport = UrllibTransport()
+        fetch_policy(f"{server.base}/page", timeout=5, transport=transport)  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            before = open_fds()
+            for path in ["/page", "/missing", "/busy", "/hop/6", "/stall"]:
+                fetch_policy(f"{server.base}{path}", timeout=0.2, retries=0, transport=transport)
+            deadline = time.monotonic() + 5
+            while open_fds() > before and time.monotonic() < deadline:
+                threading.Event().wait(0.01)  # the server closes its side on its own threads
+            assert open_fds() == before
+        finally:
+            gc.enable()
 
     def test_refused_connection_is_network_error(self, server):
         with socket.socket() as sock:

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import re
 import string
 import unicodedata
 from collections import Counter
@@ -9,7 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from praf.corpus import load_codebook
+from praf.detect import default_rules_path, detect_all, load_rules
 from praf.errors import NonAlphabetic, NoSentences
+from praf.ingest import cache_get, extract_text
 from praf.readability import (
     ABBREVIATIONS,
     ReadabilityBand,
@@ -29,11 +34,13 @@ from praf.readability import (
 )
 
 DATA = Path(__file__).parent / "data"
+FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
 
 def reference_sentence_spans(text: str) -> list[tuple[int, int]]:
     """The segmenter as a scan of every character, the reference for the
-    jumping one: same rules, same spans."""
+    jumping one: same rules, same spans. A newline followed by spaces or tabs
+    and a lowercase letter is a hard wrap and splits nothing."""
     spans: list[tuple[int, int]] = []
 
     def emit(a: int, b: int) -> None:
@@ -50,8 +57,12 @@ def reference_sentence_spans(text: str) -> list[tuple[int, int]]:
     while i < n:
         c = text[i]
         if c == "\n":
-            emit(start, i)
-            start = i + 1
+            k = i + 1
+            while k < n and text[k] in " \t":
+                k += 1
+            if not (k < n and text[k].islower()):
+                emit(start, i)
+                start = i + 1
         elif c in ".!?":
             j = i
             while j + 1 < n and text[j + 1] in ".!?\"'\u201d\u2019)]":
@@ -82,7 +93,8 @@ def _cases(word: str):
 # newlines and spaces, decimals, abbreviations, initials and sentence starts.
 _SEGMENT_TOKENS = st.one_of(
     st.text(alphabet=".!?", min_size=1, max_size=3),
-    st.sampled_from(list("\"')]\u201d\u2019") + ["\n", " ", "  ", "\t", " \n "]),
+    st.sampled_from(list("\"')]\u201d\u2019") + ["\n", " ", "  ", "\t", " \n ", "\n\t",
+                                                  "\u00a0", "\u2009", "\u3000"]),
     st.from_regex(r"\d{0,2}\.\d{0,2}", fullmatch=True),
     st.sampled_from(sorted(ABBREVIATIONS)).flatmap(_cases).map(lambda a: a + "."),
     st.sampled_from("AjJxZ").map(lambda c: c + "."),
@@ -112,6 +124,25 @@ class TestSegmentation:
             "Privacy Policy",
             "We explain things here.",
         ]
+
+    def test_any_space_but_a_newline_may_follow_a_terminator(self):
+        for gap in [" ", "\t", "\u00a0", "\u2009", "\u3000", " \u00a0 "]:
+            assert segment_sentences(f"We collect data.{gap}We share it.") == [
+                "We collect data.", "We share it."]
+        assert segment_sentences("We collect data.\u00a0we share it.") == [
+            "We collect data.\u00a0we share it."]
+
+    def test_newline_before_a_lowercase_letter_is_a_hard_wrap(self):
+        assert segment_sentences("We share your\n  information.\nWe sell none.") == [
+            "We share your\n  information.", "We sell none."]
+        # After a terminator too: the wrap reads as the space it replaced.
+        assert sentence_spans("Terms vs.\nno.\nnotes") == sentence_spans("Terms vs. no. notes")
+
+    def test_newline_before_a_capital_still_splits(self):
+        # A wrap cannot be told from a line break before a capital, so a name
+        # broken across lines ends its sentence at the wrap.
+        assert segment_sentences("We follow the Data\nProtection Act.") == [
+            "We follow the Data", "Protection Act."]
 
     def test_hand_labeled_fixture(self):
         cases = json.loads((DATA / "sentence_fixture.json").read_text())["cases"]
@@ -304,3 +335,53 @@ class TestBands:
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
             ReadabilityResult(smog_grade=2.0, sentence_count=0, polysyllable_count=0)
+
+
+def _bundled_texts() -> list[str]:
+    codebook = load_codebook(FIXTURES / "codebook.json")
+    docs = [cache_get(FIXTURES / "cache", rec.policy_url) for rec in codebook.records]
+    return [doc.text for doc in docs if doc is not None and doc.accessible]
+
+
+_BUNDLED = _bundled_texts()
+_RULES = load_rules(default_rules_path())
+_TERMINATOR_SPACE = re.compile("([.!?][\"')\\]\u201d\u2019]*) ")
+
+
+def _hard_wrap(text: str, width: int) -> str:
+    """Each line wrapped at about ``width`` columns: the first space at or
+    past the width that comes before a lowercase letter becomes a newline."""
+    out, col = list(text), 0
+    for i, c in enumerate(text):
+        if c == " " and col >= width and text[i + 1:i + 2].islower():
+            out[i], col = "\n", 0
+        else:
+            col = 0 if c == "\n" else col + 1
+    return "".join(out)
+
+
+def _reading(text: str):
+    """What the audit reads off a text: its sentences, findings and grade."""
+    return sentence_spans(text), detect_all(text, _RULES), smog_grade(text).smog_grade
+
+
+class TestWhitespaceInvariance:
+    def test_bundled_texts(self):
+        assert len(_BUNDLED) == 27
+
+    @settings(deadline=None)
+    @given(st.sampled_from(_BUNDLED), st.lists(st.sampled_from(["\u00a0", "\u2009", "\u3000"]),
+                                               min_size=1, max_size=5))
+    def test_other_spaces_after_a_terminator_move_nothing(self, text, gaps):
+        gap = itertools.cycle(gaps)
+        spaced = _TERMINATOR_SPACE.sub(lambda m: m.group(1) + next(gap), text)
+        assert spaced != text
+        assert _reading(spaced) == _reading(text)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(_BUNDLED), st.integers(20, 100))
+    @example(_BUNDLED[0], 72)
+    def test_hard_wraps_before_lowercase_words_move_nothing(self, text, width):
+        wrapped = extract_text(_hard_wrap(text, width).encode("utf-8"), "text/plain")
+        assert len(wrapped) == len(text)
+        assert _reading(wrapped) == _reading(text)

@@ -15,11 +15,12 @@ from praf.report import (
     emit_matrix,
     emit_smog_csv,
     emit_summary_markdown,
-    parse_matrix,
     summarize,
     summary_to_json,
 )
 from praf.verify import reference_audits
+
+from oracles import parse_matrix
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
