@@ -18,7 +18,9 @@ sentence where every side occurs, the span from the first side match to the
 last. The regulation and principle detectors keep these spans as evidence;
 the language detectors keep the sentences, each with the first rule in rule
 order that hits it; the retention duration is read from the sentences of the
-strong hits.
+strong hits. No rule data lives in code: a span's rule id
+(``dimension:index``) names the pattern that matched, so the rules file is the
+one place a regulation is named.
 
 Each side of a pattern keeps a *needle*, its longest ASCII word lowercased:
 every match of the side contains it in the document's ``FOLD`` copy
@@ -38,8 +40,9 @@ terms and ``vague_commitments`` uses ``strong`` for generic assurances with
 
 :data:`DIMENSIONS` is the one table of the rubric's layout: for each
 dimension its detector kind, matrix column and header, the rubric element it
-feeds and its summary count. The element table is ``score.ELEMENTS``; the
-detectors, scoring, reports and verification all read these two tables.
+feeds (scoring and the per-app report read it from here) and its summary
+count. The element table is ``score.ELEMENTS``; the detectors, scoring,
+reports and verification all read these two tables.
 """
 
 from __future__ import annotations
@@ -136,21 +139,6 @@ def dimensions(*, kind: str | None = None, element: str | None = None) -> list[D
     return [dim for dim, spec in DIMENSIONS.items()
             if (kind is None or spec.kind == kind)
             and (element is None or spec.element == element)]
-
-
-# Canonical display names for matched regulation patterns.
-REGULATION_ALIASES = {
-    "ccpa": "CCPA",
-    "california consumer privacy act": "CCPA",
-    "eea": "EEA",
-    "european economic area": "EEA",
-    "pipeda": "PIPEDA",
-    "personal information protection and electronic documents act": "PIPEDA",
-    "data protection act": "Data Protection Act",
-    "data protection law*": "data protection laws",
-    "lgpd": "LGPD",
-    "privacy shield": "Privacy Shield",
-}
 
 
 @dataclass(frozen=True)
@@ -344,7 +332,6 @@ def detect_regulations(text: str | AnalyzedText, rules: RuleSet) -> list[Finding
 
 
 _DURATION_RE = re.compile(r"\b(\d+)\s*(day|week|month|year)s?\b", re.IGNORECASE)
-_DAYS_PER_UNIT = {"day": 1, "week": 7, "month": 30, "year": 365}
 
 
 def _retention_detail(doc: AnalyzedText, sentences: Iterable[int]) -> Mapping | None:
@@ -352,35 +339,25 @@ def _retention_detail(doc: AnalyzedText, sentences: Iterable[int]) -> Mapping | 
     for k in sentences:
         m = _DURATION_RE.search(doc.text, *doc.sentence_spans[k])
         if m:
-            value = int(m.group(1))
-            unit = m.group(2).lower()
-            return {
-                "duration_value": value,
-                "duration_unit": unit,
-                "duration_days": value * _DAYS_PER_UNIT[unit],
-            }
+            return {"duration_value": int(m.group(1)), "duration_unit": m.group(2).lower()}
     return None
 
 
 def _phrase_finding(doc: AnalyzedText, dim: DetectionDimension, rules: RuleSet) -> Finding:
     """Strong rules assert an explicit statement (yes); weak rules alone read as
-    hedged coverage (partial). A yes for other_regulation names the matched
-    regulations; a yes for retention carries the first duration (number and
-    unit) in a sentence with a strong retention match."""
+    hedged coverage (partial). A yes for retention carries the first duration
+    (number and unit) in a sentence with a strong retention match."""
     dr = rules.rules_for(dim)
     for verdict, patterns in ((Verdict.YES, dr.strong), (Verdict.PARTIAL, dr.weak)):
-        hits = [(k, span, p.raw) for p in patterns for k, span in _evidence(p, doc)]
+        hits = [(k, span) for p in patterns for k, span in _evidence(p, doc)]
         if hits:
             break
     else:
         return Finding(dim, Verdict.NO)
     detail = None
-    if verdict is Verdict.YES and dim is DetectionDimension.OTHER_REGULATION:
-        detail = {"regulations": sorted({REGULATION_ALIASES.get(raw.lower(), raw)
-                                         for _, _, raw in hits})}
-    elif verdict is Verdict.YES and dim is DetectionDimension.RETENTION_TIME:
-        detail = _retention_detail(doc, sorted({k for k, _, _ in hits}))
-    evidence = sorted((span for _, span, _ in hits), key=lambda s: (s.start, s.end, s.rule_id))
+    if verdict is Verdict.YES and dim is DetectionDimension.RETENTION_TIME:
+        detail = _retention_detail(doc, sorted({k for k, _ in hits}))
+    evidence = sorted((span for _, span in hits), key=lambda s: (s.start, s.end, s.rule_id))
     return Finding(dim, verdict, tuple(evidence), detail)
 
 

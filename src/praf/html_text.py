@@ -16,12 +16,21 @@ BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
 LINK_RATIO_LIMIT = 0.5
+# Elements kept off the stack of open elements: void elements never close,
+# and the tree builder never pops html or body at their end tags, so a
+# landmark directly under body runs to the end of the page.
+UNSTACKED_TAGS = {"area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta",
+                  "source", "track", "wbr", "html", "body"}
 
 
 class TextExtractor(HTMLParser):
     """Collects one line per visible block in ``lines``, leaving out the
     elements named in ``skip_tags``; feed the page text after _strip_control,
-    then close."""
+    then close.
+
+    A skipped element ends at its own end tag or, left open, at the end tag
+    of any element that was open when it started, as in the HTML tree
+    builder; an end tag that matches no open element is ignored."""
 
     def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
@@ -29,7 +38,8 @@ class TextExtractor(HTMLParser):
         self.lines: list[str] = []
         self._parts: list[str] = []
         self._link_chars = 0
-        self._skip_depth = 0
+        self._open: list[str] = []       # the stack of open elements
+        self._skip_at: int | None = None  # stack index of the skipped element
         self._anchor_depth = 0
         self._pre_depth = 0
 
@@ -48,10 +58,12 @@ class TextExtractor(HTMLParser):
         self.lines.append(text)
 
     def handle_starttag(self, tag, attrs):
-        if tag in self.skip_tags:
-            self._skip_depth += 1
+        if tag not in UNSTACKED_TAGS:
+            self._open.append(tag)
+        if self._skip_at is not None:
             return
-        if self._skip_depth:
+        if tag in self.skip_tags:
+            self._skip_at = len(self._open) - 1
             return
         if tag == "a":
             self._anchor_depth += 1
@@ -61,10 +73,14 @@ class TextExtractor(HTMLParser):
             self._flush()
 
     def handle_endtag(self, tag):
-        if tag in self.skip_tags:
-            self._skip_depth = max(0, self._skip_depth - 1)
-            return
-        if self._skip_depth:
+        i = self._close(tag)
+        if self._skip_at is not None:
+            if i is None or i > self._skip_at:
+                return  # stray, or inside the skipped element
+            closes_parent, self._skip_at = i < self._skip_at, None
+            if not closes_parent:
+                return  # the skipped element's own end tag
+        elif tag in self.skip_tags:
             return
         if tag == "a":
             self._anchor_depth = max(0, self._anchor_depth - 1)
@@ -73,8 +89,18 @@ class TextExtractor(HTMLParser):
         if tag in BLOCK_TAGS:
             self._flush()
 
+    def _close(self, tag) -> int | None:
+        """Pop the innermost open ``tag`` and every element opened inside it;
+        its stack index, or None when no ``tag`` is open."""
+        stack = self._open
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i] == tag:
+                del stack[i:]
+                return i
+        return None
+
     def handle_data(self, data):
-        if self._skip_depth or not data:
+        if self._skip_at is not None or not data:
             return
         # Character references are decoded only now, so a reference like
         # "&#13;" or "&#8203;" can bring back what _strip_control took out of

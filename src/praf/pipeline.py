@@ -65,7 +65,7 @@ def _manifest_entry(rec: AppRecord, doc: PolicyDocument | None, cached: bool) ->
 
 def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
                  jobs: int = DEFAULT_JOBS, transport=None,
-                 respect_robots: bool = False) -> list[dict]:
+                 respect_robots: bool = True) -> list[dict]:
     """Fetch/refresh every record's policy; returns one manifest entry per app
     in codebook order. Failures are recorded per app, never raised. Online, an
     app is requested when it has no cache entry or one that fetch_policy would

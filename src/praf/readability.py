@@ -284,11 +284,6 @@ def count_syllables(word: str) -> int:
 _WORD_RE = re.compile(r"[^\W\d_]+(?:['’-][^\W\d_]+)*")
 
 
-def words(text: str) -> list[str]:
-    """Alphabetic tokens of any script (with internal apostrophes/hyphens)."""
-    return [w for w in _WORD_RE.findall(text) if w.isascii() or any(map(str.isalpha, w))]
-
-
 # Every ASCII byte that no word can contain (all but letters, "'" and "-")
 # maps to a space. No _WORD_RE match holds such a character or any
 # whitespace, and the regex has no anchors or lookaround, so the matches in
@@ -301,8 +296,9 @@ _NON_WORD = bytes.maketrans(bytes(range(128)), bytes(
 
 
 def count_polysyllables(text: str) -> int:
-    """Words of three or more syllables, as :func:`words` splits them: letters
-    of any script, joined by internal apostrophes or hyphens.
+    """Words of three or more syllables: the ``_WORD_RE`` matches that hold a
+    letter, that is letters of any script joined by internal apostrophes or
+    hyphens.
 
     The text is mapped and split into chunks once; the word regex runs once
     per distinct chunk, and each distinct word's syllables are counted once

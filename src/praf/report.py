@@ -18,7 +18,7 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .detect import DIMENSIONS, DetectionDimension as Dim, Verdict, dimensions
+from .detect import DIMENSIONS, Finding, Verdict, dimensions
 from .errors import EmptyCorpus
 from .score import ELEMENTS
 
@@ -183,6 +183,10 @@ def _excerpt(text: str, start: int, end: int) -> str:
     return snippet
 
 
+def _verdict(finding: Finding) -> str:
+    return finding.verdict.value + (" (manual)" if finding.manual else "")
+
+
 def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
     """Markdown narrative for one app: scores, verdicts, and the evidence
     excerpts behind them; manual overrides are flagged."""
@@ -209,8 +213,7 @@ def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
         lines.append(f"## {e.label} — {getattr(profile, e.field)}/{e.ceiling}")
         for dim in dimensions(element=e.field):
             finding = findings[dim]
-            flag = " (manual)" if finding.manual else ""
-            lines.append(f"- {dim.value}: {finding.verdict.value}{flag}")
+            lines.append(f"- {dim.value}: {_verdict(finding)}")
             if audit.text and finding.evidence:
                 span = finding.evidence[0]
                 lines.append(f'  - "{_excerpt(audit.text, span.start, span.end)}"')
@@ -218,10 +221,11 @@ def emit_app_report(audit: AppAudit, reveal_names: bool = False) -> str:
                 d = finding.detail
                 lines.append(f"  - retention duration: {d['duration_value']} {d['duration_unit']}(s)")
         lines.append("")
-    # Consent is tracked and reported but feeds no element score.
-    consent = findings[Dim.CONSENT_REQUIREMENTS]
-    flag = " (manual)" if consent.manual else ""
-    lines.append(f"Noted (unscored): consent_requirements: {consent.verdict.value}{flag}")
+    # Dimensions that feed no element are tracked and reported, unscored.
+    noted = [f"{dim.value}: {_verdict(findings[dim])}"
+             for dim, spec in DIMENSIONS.items() if spec.element is None]
+    if noted:
+        lines.append("Noted (unscored): " + "; ".join(noted))
     return "\n".join(lines) + "\n"
 
 

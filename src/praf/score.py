@@ -7,8 +7,11 @@ Element scales (accessible policies):
   the plain sum of the five elements (max 28), derived rather than stored.
 
 :data:`ELEMENTS` is the one table of the elements' names, matrix columns,
-labels and ceilings; which dimensions feed each element is recorded in
-``detect.DIMENSIONS``.
+labels and ceilings; ``detect.DIMENSIONS`` decides which element each
+dimension feeds. The three regulation dimensions make one
+:func:`score_regulatory` score; any other dimension adds 2 points when it is
+a principle that is present or a language fault that is absent, else 1.
+Usability starts from the readability points.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .detect import DetectionDimension as Dim, Finding, Verdict, dimensions
+from .detect import DIMENSIONS, DetectionDimension as Dim, Finding, Verdict
 from .readability import ReadabilityResult
 
 
@@ -57,17 +60,6 @@ ELEMENTS = (
 )
 
 
-def _present(verdict: Verdict) -> int:
-    """2 points for implementation, 1 for non-implementation; partial claims
-    score as non-implementation."""
-    return 2 if verdict is Verdict.YES else 1
-
-
-def _present_points(findings: Mapping[Dim, Finding], element: str) -> int:
-    """Presence points summed over every dimension that feeds the element."""
-    return sum(_present(findings[d].verdict) for d in dimensions(element=element))
-
-
 def score_regulatory(findings: Mapping[Dim, Finding]) -> int:
     hipaa = findings[Dim.HIPAA_MENTION].verdict is Verdict.YES
     gdpr = findings[Dim.GDPR_MENTION].verdict is Verdict.YES
@@ -80,23 +72,8 @@ def score_regulatory(findings: Mapping[Dim, Finding]) -> int:
     return 1
 
 
-def score_security(findings: Mapping[Dim, Finding]) -> int:
-    return _present_points(findings, "security")
-
-
-def score_usability(findings: Mapping[Dim, Finding], readability: ReadabilityResult) -> int:
-    ambiguity = 2 if findings[Dim.AMBIGUOUS_LANGUAGE].verdict is Verdict.NO else 1
-    commitments = 2 if findings[Dim.VAGUE_COMMITMENTS].verdict is Verdict.NO else 1
-    accessibility = _present(findings[Dim.ACCESSIBILITY_ACCOMMODATIONS].verdict)
-    return readability.points + ambiguity + commitments + accessibility
-
-
-def score_min_retention(findings: Mapping[Dim, Finding]) -> int:
-    return _present_points(findings, "min_retention")
-
-
-def score_third_party(findings: Mapping[Dim, Finding]) -> int:
-    return _present_points(findings, "third_party")
+# The verdict worth 2 points: a principle present, a language fault absent.
+_GOOD = {"principle": Verdict.YES, "language": Verdict.NO}
 
 
 def score_app(app: str, findings: Mapping[Dim, Finding],
@@ -105,11 +82,9 @@ def score_app(app: str, findings: Mapping[Dim, Finding],
     dimension that feeds an element needs a finding (KeyError if not)."""
     if readability is None:
         return PrafProfile(app, 0, 0, 0, 0, 0)
-    return PrafProfile(
-        app=app,
-        regulatory=score_regulatory(findings),
-        security=score_security(findings),
-        usability=score_usability(findings, readability),
-        min_retention=score_min_retention(findings),
-        third_party=score_third_party(findings),
-    )
+    points = {e.field: 0 for e in ELEMENTS[:-1]}
+    points.update(regulatory=score_regulatory(findings), usability=readability.points)
+    for dim, spec in DIMENSIONS.items():
+        if spec.element and spec.kind != "regulation":
+            points[spec.element] += 2 if findings[dim].verdict is _GOOD[spec.kind] else 1
+    return PrafProfile(app, **points)

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 
+from praf.detect import DetectionDimension as Dim, Verdict
+from praf.readability import _WORD_RE, ReadabilityBand
 from praf.score import ELEMENTS
 
 
@@ -14,6 +16,47 @@ def matches_in(pattern, text: str) -> bool:
     if pattern.regex is not None:
         return pattern.regex.search(text) is not None
     return all(p.search(text) for p in pattern.parts)
+
+
+def words(text: str) -> list[str]:
+    """Alphabetic tokens of any script (with internal apostrophes/hyphens):
+    the reference for ``readability.count_polysyllables``."""
+    return [w for w in _WORD_RE.findall(text) if w.isascii() or any(map(str.isalpha, w))]
+
+
+# README's readability points: Slightly Difficult = 6 ... Professional = 1.
+BAND_POINTS = {ReadabilityBand.SLIGHTLY_DIFFICULT: 6, ReadabilityBand.SOMEWHAT_DIFFICULT: 5,
+               ReadabilityBand.FAIRLY_DIFFICULT: 4, ReadabilityBand.DIFFICULT: 3,
+               ReadabilityBand.VERY_DIFFICULT: 2, ReadabilityBand.PROFESSIONAL: 1}
+
+
+def rubric_scores(verdicts: dict, band: ReadabilityBand | None) -> dict[str, int]:
+    """README's rubric table written out element by element: the five
+    element scores for a verdict per dimension and a readability band, or
+    all zeros for an inaccessible policy (no band)."""
+    if band is None:
+        return {"regulatory": 0, "security": 0, "usability": 0, "min_retention": 0,
+                "third_party": 0}
+
+    def present(dim):  # a principle: 2 if addressed, else 1
+        return 2 if verdicts[dim] is Verdict.YES else 1
+
+    def absent(dim):  # a language fault: 2 if the policy avoids it, else 1
+        return 2 if verdicts[dim] is Verdict.NO else 1
+
+    hipaa = verdicts[Dim.HIPAA_MENTION] is Verdict.YES
+    gdpr = verdicts[Dim.GDPR_MENTION] is Verdict.YES
+    other = verdicts[Dim.OTHER_REGULATION] is Verdict.YES
+    return {
+        "regulatory": 4 if hipaa and gdpr else 3 if hipaa or gdpr else 2 if other else 1,
+        "security": (present(Dim.DATA_ENCRYPTION) + present(Dim.ACCESS_CONTROLS)
+                     + present(Dim.BREACH_PROTOCOL)),
+        "usability": (BAND_POINTS[band] + absent(Dim.AMBIGUOUS_LANGUAGE)
+                      + absent(Dim.VAGUE_COMMITMENTS)
+                      + present(Dim.ACCESSIBILITY_ACCOMMODATIONS)),
+        "min_retention": present(Dim.DATA_MINIMIZATION) + present(Dim.RETENTION_TIME),
+        "third_party": present(Dim.THIRD_PARTY_SHARING),
+    }
 
 
 def parse_matrix(document: str, fmt: str) -> list[dict]:

@@ -25,7 +25,7 @@ from praf.detect import (
 from praf.ingest import cache_get
 from praf.readability import ReadabilityResult, band, smog_from_counts
 from praf.report import summarize
-from praf.score import score_app, score_min_retention, score_security
+from praf.score import score_app
 from praf.verify import reference_audits, run_verify
 
 from oracles import matches_in, parse_matrix
@@ -212,6 +212,7 @@ def test_criterion_5_scoring_property_suite():
 
     # brute-force oracle over all 3^5 combinations of the five presence criteria
     verdict_space = (YES, PARTIAL, NO)
+    readability = ReadabilityResult.from_grade(12.0)
     checked = 0
     for enc in verdict_space:
         for acc in verdict_space:
@@ -224,8 +225,9 @@ def test_criterion_5_scoring_property_suite():
                         findings[Dim.BREACH_PROTOCOL] = Finding(Dim.BREACH_PROTOCOL, breach, manual=True)
                         findings[Dim.DATA_MINIMIZATION] = Finding(Dim.DATA_MINIMIZATION, mini, manual=True)
                         findings[Dim.RETENTION_TIME] = Finding(Dim.RETENTION_TIME, ret, manual=True)
-                        assert score_security(findings) == SECURITY_ORACLE[(enc, acc, breach)]
-                        assert score_min_retention(findings) == MIN_RETENTION_ORACLE[(mini, ret)]
+                        profile = score_app("R1", findings, readability)
+                        assert profile.security == SECURITY_ORACLE[(enc, acc, breach)]
+                        assert profile.min_retention == MIN_RETENTION_ORACLE[(mini, ret)]
                         checked += 1
     assert checked == 3 ** 5
     announce(5, "10,000 randomized vectors + 3^5 brute-force oracle")

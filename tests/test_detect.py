@@ -53,11 +53,12 @@ class TestRegulations:
         assert gdpr.verdict is Verdict.NO
         assert other.verdict is Verdict.NO
 
-    def test_ccpa_named_in_detail(self, rules):
+    def test_ccpa_named_in_evidence(self, rules):
         text = "You have rights under the California Consumer Privacy Act."
         _, _, other = detect_regulations(text, rules)
         assert other.verdict is Verdict.YES
-        assert other.detail == {"regulations": ["CCPA"]}
+        assert [(span.rule_id, text[span.start:span.end]) for span in other.evidence] == [
+            ("other_regulation:1", "California Consumer Privacy Act")]
 
     def test_no_regulations(self, rules):
         findings = detect_regulations("We like dogs. Dogs like us.", rules)
@@ -69,7 +70,8 @@ class TestRegulations:
         hipaa, gdpr, other = detect_regulations(text, rules)
         assert hipaa.verdict is Verdict.NO
         assert gdpr.verdict is Verdict.YES
-        assert other.detail == {"regulations": ["EEA"]}
+        assert [(span.rule_id, text[span.start:span.end]) for span in other.evidence] == [
+            ("other_regulation:3", "European Economic Area")]
 
     def test_appending_hipaa_never_revokes_yes(self, rules):
         texts = ["", "Nothing here.", "We comply with HIPAA.", SAMPLE]
@@ -99,9 +101,7 @@ class TestPrinciples:
     def test_retention_quote_with_duration(self, rules):
         f = detect_principle("We retain your records for 5 years.", Dim.RETENTION_TIME, rules)
         assert f.verdict is Verdict.YES
-        assert f.detail["duration_value"] == 5
-        assert f.detail["duration_unit"] == "year"
-        assert f.detail["duration_days"] == 1825
+        assert f.detail == {"duration_value": 5, "duration_unit": "year"}
 
     def test_weak_rule_gives_partial(self, rules):
         f = detect_principle(

@@ -238,10 +238,33 @@ class TestExtractText:
     @pytest.mark.parametrize("raw, expected", [
         (b"<header>Logo<p>We encrypt your data.</p>", "Logo\nWe encrypt your data."),
         (b"<nav><a>x</a><p>We encrypt your data.</p>", "We encrypt your data."),
-        (b"<div><header>Logo</div><p>We encrypt your data.</p>", "Logo\nWe encrypt your data."),
+        (b"<div><header>Logo</div><p>We encrypt your data.</p>", "We encrypt your data."),
         (b"<header>Logo</header><p>We encrypt your data.</p>", "We encrypt your data."),
     ])
     def test_landmarks_are_kept_only_when_skipping_them_leaves_no_text(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    @pytest.mark.parametrize("raw, expected", [
+        # closed by the end tag of an element open when it started
+        (b"<p>Intro</p><div><header>Logo</div><p>We encrypt your data.</p>",
+         "Intro\nWe encrypt your data."),
+        (b"<p>Intro</p><section><nav>Menu</section><p>We encrypt your data.</p>",
+         "Intro\nWe encrypt your data."),
+        (b"<p>Intro</p><div><header>Logo<nav>Menu</div></header></nav><p>We encrypt your data.</p>",
+         "Intro\nWe encrypt your data."),
+        (b"<p>Intro</p><div><a href='/'><header>Logo</a></div><p>We encrypt your data.</p>",
+         "Intro\nWe encrypt your data."),
+        # nested landmarks end at the outer end tag; stray end tags are ignored
+        (b"<p>Intro</p><header>Logo<nav>Menu</nav>More</header></p></b><p>We encrypt your data.</p>",
+         "Intro\nWe encrypt your data."),
+        (b"<p>Intro</p><nav>Menu</header><p>We encrypt your data.</p>", "Intro"),
+        # left open under body, or under elements that never close: to the end
+        (b"<p>Intro</p><header>Logo<p>We encrypt your data.</p>", "Intro"),
+        (b"<html><body><p>Intro</p><header>Logo<p>We encrypt your data.</p></body></html>",
+         "Intro"),
+        (b"<p>Intro</p><div><header>Logo</p></span><p>We encrypt your data.</p>", "Intro"),
+    ])
+    def test_where_a_skipped_landmark_ends(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
 
     def test_pdf_is_not_parseable(self):

@@ -141,6 +141,15 @@ class TestFetchCorpus:
         cached = cache_get(tmp_path, "https://a1.example/privacy")
         assert cached.reason is InaccessibleReason.ROBOTS_BLOCKED and cached.http_status is None
 
+    def test_robots_txt_is_respected_by_default(self, tmp_path):
+        transport = FakeTransport({
+            "https://a1.example/robots.txt": (200, "text/plain", b"User-agent: *\nDisallow: /privacy", "https://a1.example/robots.txt"),
+            "https://a1.example/privacy": RuntimeError("disallowed page requested"),
+            "https://a2.example/privacy": (200, "text/html", b"<p>Allowed body here.</p>", "https://a2.example/privacy"),
+        })
+        manifest = fetch_corpus(small_codebook(), tmp_path, transport=transport)
+        assert [m.get("reason") for m in manifest] == ["robots_blocked", None, "no_url"]
+
 
 class TestAuditPipeline:
     def test_missing_inputs_lists_unanswerable_apps(self, tmp_path):

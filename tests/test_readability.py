@@ -30,8 +30,9 @@ from praf.readability import (
     sentence_spans,
     smog_from_counts,
     smog_grade,
-    words,
 )
+
+from oracles import words
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"

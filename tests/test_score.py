@@ -1,17 +1,16 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from praf.detect import DetectionDimension as Dim, Finding, Verdict
+from praf.corpus import AppCategory, AppRecord
+from praf.detect import DIMENSIONS, DetectionDimension as Dim, Finding, Verdict
+from praf.pipeline import audit_from_findings
 from praf.readability import BAND_EDGES, SMOG_INTERCEPT, ReadabilityBand, ReadabilityResult
-from praf.score import (
-    ELEMENTS,
-    score_app,
-    score_min_retention,
-    score_regulatory,
-    score_security,
-    score_third_party,
-    score_usability,
-)
+from praf.report import emit_app_report
+from praf.score import ELEMENTS, score_app, score_regulatory
+
+from oracles import rubric_scores
 
 YES, PARTIAL, NO = Verdict.YES, Verdict.PARTIAL, Verdict.NO
 
@@ -24,6 +23,10 @@ def make_findings(**verdicts) -> dict:
 def make_input(grade=13.0, **verdicts) -> tuple[dict, ReadabilityResult]:
     """Findings and readability of an accessible policy."""
     return make_findings(**verdicts), ReadabilityResult.from_grade(grade)
+
+
+def score_accessible(grade=13.0, **verdicts):
+    return score_app("T1", *make_input(grade, **verdicts))
 
 
 def score_inaccessible(**verdicts):
@@ -74,8 +77,8 @@ class TestSecurity:
     @pytest.mark.parametrize("combo,expected", list(TABLE.items()))
     def test_examples(self, combo, expected):
         enc, acc, breach = combo
-        findings = make_findings(data_encryption=enc, access_controls=acc, breach_protocol=breach)
-        assert score_security(findings) == expected
+        profile = score_accessible(data_encryption=enc, access_controls=acc, breach_protocol=breach)
+        assert profile.security == expected
 
     def test_inaccessible(self):
         profile = score_inaccessible(data_encryption=YES, access_controls=YES, breach_protocol=YES)
@@ -84,20 +87,20 @@ class TestSecurity:
 
 class TestUsability:
     def test_very_difficult_clean_policy(self):
-        inp = make_input(grade=13.0, third_party_sharing=YES)
-        assert score_usability(*inp) == 2 + 2 + 2 + 1
+        profile = score_accessible(grade=13.0, third_party_sharing=YES)
+        assert profile.usability == 2 + 2 + 2 + 1
 
     def test_slightly_difficult(self):
-        inp = make_input(grade=9.2)
-        assert score_usability(*inp) == 6 + 2 + 2 + 1
+        assert score_accessible(grade=9.2).usability == 6 + 2 + 2 + 1
 
     def test_professional_with_partials(self):
-        inp = make_input(grade=14.2, ambiguous_language=PARTIAL, vague_commitments=PARTIAL)
-        assert score_usability(*inp) == 1 + 1 + 1 + 1
+        profile = score_accessible(grade=14.2, ambiguous_language=PARTIAL,
+                                   vague_commitments=PARTIAL)
+        assert profile.usability == 1 + 1 + 1 + 1
 
     def test_accessibility_bonus(self):
-        inp = make_input(grade=12.0, accessibility_accommodations=YES)
-        assert score_usability(*inp) == 3 + 2 + 2 + 2
+        profile = score_accessible(grade=12.0, accessibility_accommodations=YES)
+        assert profile.usability == 3 + 2 + 2 + 2
 
     def test_inaccessible(self):
         assert score_inaccessible(accessibility_accommodations=YES).usability == 0
@@ -117,7 +120,7 @@ class TestMinRetention:
     @pytest.mark.parametrize("combo,expected", list(TABLE.items()))
     def test_examples(self, combo, expected):
         mini, ret = combo
-        assert score_min_retention(make_findings(data_minimization=mini, retention_time=ret)) == expected
+        assert score_accessible(data_minimization=mini, retention_time=ret).min_retention == expected
 
     def test_inaccessible(self):
         assert score_inaccessible(data_minimization=YES, retention_time=YES).min_retention == 0
@@ -125,9 +128,9 @@ class TestMinRetention:
 
 class TestThirdParty:
     def test_scale(self):
-        assert score_third_party(make_findings(third_party_sharing=YES)) == 2
-        assert score_third_party(make_findings(third_party_sharing=NO)) == 1
-        assert score_third_party(make_findings(third_party_sharing=PARTIAL)) == 1
+        assert score_accessible(third_party_sharing=YES).third_party == 2
+        assert score_accessible(third_party_sharing=NO).third_party == 1
+        assert score_accessible(third_party_sharing=PARTIAL).third_party == 1
         assert score_inaccessible(third_party_sharing=YES).third_party == 0
 
 
@@ -173,3 +176,37 @@ class TestScoreApp:
         assert profile.overall <= 28
         closed = score_app("T0", findings, None)
         assert set(closed.elements().values()) == {0} and closed.overall == 0
+
+    @given(st.fixed_dictionaries({dim: st.sampled_from(Verdict) for dim in Dim}),
+           st.sampled_from([*ReadabilityBand, None]))
+    def test_scores_equal_the_rubric_table(self, verdicts, band):
+        findings = {dim: Finding(dim, v, manual=True) for dim, v in verdicts.items()}
+        readability = None if band is None else ReadabilityResult.from_grade(GRADE_PER_BAND[band])
+        profile = score_app("T1", findings, readability)
+        assert profile.elements() == rubric_scores(verdicts, band)
+
+    def test_the_dimension_table_decides_each_element(self, monkeypatch):
+        """Moving a dimension to another element in DIMENSIONS moves its
+        points and its section of the per-app report with it."""
+        a11y = Dim.ACCESSIBILITY_ACCOMMODATIONS
+        findings, readability = make_input(grade=13.0, accessibility_accommodations=YES)
+        record = AppRecord("A1", AppCategory.TELEHEALTH)
+
+        def section_and_points():
+            """The report section that lists the dimension, and the profile."""
+            audit = audit_from_findings(record, list(findings.values()), {}, readability)
+            section = None
+            for line in emit_app_report(audit).splitlines():
+                if line.startswith("## "):
+                    section = line[3:].split(" — ")[0]
+                elif line.startswith(f"- {a11y.value}:"):
+                    return section, audit.profile
+
+        section, before = section_and_points()
+        assert section == "Usability & accessibility"
+        assert (before.security, before.usability) == (3, 2 + 2 + 2 + 2)
+        monkeypatch.setitem(DIMENSIONS, a11y, dataclasses.replace(DIMENSIONS[a11y],
+                                                                  element="security"))
+        section, after = section_and_points()
+        assert section == "Data security"
+        assert (after.security, after.usability) == (3 + 2, 2 + 2 + 2)
