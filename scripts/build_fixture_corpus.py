@@ -24,7 +24,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from praf.corpus import load_codebook
 from praf.detect import DIMENSIONS, DetectionDimension as Dim, default_rules_path, detect_all, load_rules
-from praf.ingest import PolicyDocument, InaccessibleReason, cache_put, extract_text
+from praf.ingest import (FetchFailure, InaccessibleReason, RawFetch, cache_put, document_from_fetch,
+                         extract_text)
 from praf.readability import (
     BAND_EDGES,
     SMOG_INTERCEPT,
@@ -418,22 +419,17 @@ def main() -> None:
         row = by_app[app]
         url = rec.policy_url
         if row["smog"] is None:
-            doc = PolicyDocument(
-                app=app, source=url, raw=b"", text="", fetched_at=FETCHED_AT,
-                accessible=False, reason=InaccessibleReason.HTTP_ERROR, http_status=404,
-            )
-            cache_put(CACHE_DIR, url, doc)
+            cache_put(CACHE_DIR, url, document_from_fetch(
+                app, FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=404), FETCHED_AT))
             print(f"{app}: inaccessible (404)")
             continue
         verdicts = {dim: v.value for dim, v in codebook.overrides_for(app).items()}
         html = build_app_page(app, verdicts, row["smog"], row["level"])
-        text = extract_text(html.encode(), "text/html")
-        result = smog_grade(text)
-        doc = PolicyDocument(
-            app=app, source=url, raw=html.encode(), text=text, fetched_at=FETCHED_AT,
-            accessible=True, http_status=200, content_type="text/html; charset=utf-8",
-        )
+        doc = document_from_fetch(app, RawFetch(url=url, final_url=url, body=html.encode(),
+                                                content_type="text/html; charset=utf-8",
+                                                status=200), FETCHED_AT)
         cache_put(CACHE_DIR, url, doc)
+        result = smog_grade(doc.text)
         grade_errors.append(abs(result.smog_grade - row["smog"]))
         print(f"{app}: {result.sentence_count} sentences, poly {result.polysyllable_count}, "
               f"smog {result.smog_grade:.2f} (ref {row['smog']}, band {result.band.code})")

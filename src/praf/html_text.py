@@ -21,16 +21,20 @@ LINK_RATIO_LIMIT = 0.5
 # landmark directly under body runs to the end of the page.
 UNSTACKED_TAGS = {"area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta",
                   "source", "track", "wbr", "html", "body"}
+# The elements head can hold; any other start tag, or text that is not
+# whitespace, ends an open head, as in the tree builder.
+HEAD_CONTENT_TAGS = {"base", "basefont", "bgsound", "link", "meta", "noframes", "noscript",
+                     "script", "style", "template", "title"}
 
 
 class TextExtractor(HTMLParser):
     """Collects one line per visible block in ``lines``, leaving out the
-    elements named in ``skip_tags``; feed the page text after _strip_control,
-    then close.
+    elements named in ``skip_tags``; feed the decoded page, then close.
 
-    A skipped element ends at its own end tag or, left open, at the end tag
-    of any element that was open when it started, as in the HTML tree
-    builder; an end tag that matches no open element is ignored."""
+    The stack of open elements alone decides whether text is skipped, link
+    text or preformatted. Every element ends at its own end tag or, left open, at the end tag of
+    any element that was open when it started, as in the HTML tree builder;
+    an end tag that matches no open element is ignored."""
 
     def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
@@ -38,10 +42,7 @@ class TextExtractor(HTMLParser):
         self.lines: list[str] = []
         self._parts: list[str] = []
         self._link_chars = 0
-        self._open: list[str] = []       # the stack of open elements
-        self._skip_at: int | None = None  # stack index of the skipped element
-        self._anchor_depth = 0
-        self._pre_depth = 0
+        self._open: list[str] = []  # the stack of open elements
 
     def _flush(self):
         if not self._parts:
@@ -58,60 +59,35 @@ class TextExtractor(HTMLParser):
         self.lines.append(text)
 
     def handle_starttag(self, tag, attrs):
+        if self._open and self._open[-1] == "head" and tag not in HEAD_CONTENT_TAGS:
+            self._open.pop()
         if tag not in UNSTACKED_TAGS:
             self._open.append(tag)
-        if self._skip_at is not None:
-            return
-        if tag in self.skip_tags:
-            self._skip_at = len(self._open) - 1
-            return
-        if tag == "a":
-            self._anchor_depth += 1
-        elif tag == "pre":
-            self._pre_depth += 1
-        if tag in BLOCK_TAGS or tag == "br":
+        if self.skip_tags.isdisjoint(self._open) and (tag in BLOCK_TAGS or tag == "br"):
             self._flush()
 
     def handle_endtag(self, tag):
-        i = self._close(tag)
-        if self._skip_at is not None:
-            if i is None or i > self._skip_at:
-                return  # stray, or inside the skipped element
-            closes_parent, self._skip_at = i < self._skip_at, None
-            if not closes_parent:
-                return  # the skipped element's own end tag
-        elif tag in self.skip_tags:
-            return
-        if tag == "a":
-            self._anchor_depth = max(0, self._anchor_depth - 1)
-        elif tag == "pre":
-            self._pre_depth = max(0, self._pre_depth - 1)
-        if tag in BLOCK_TAGS:
-            self._flush()
-
-    def _close(self, tag) -> int | None:
-        """Pop the innermost open ``tag`` and every element opened inside it;
-        its stack index, or None when no ``tag`` is open."""
         stack = self._open
         for i in range(len(stack) - 1, -1, -1):
             if stack[i] == tag:
-                del stack[i:]
-                return i
-        return None
+                del stack[i:]  # the element and every element opened inside it
+                break
+        if tag in BLOCK_TAGS and self.skip_tags.isdisjoint(stack):
+            self._flush()
 
     def handle_data(self, data):
-        if self._skip_at is not None or not data:
+        if self._open and self._open[-1] == "head" and data.strip(" \t\n\r\f"):
+            self._open.pop()
+        if not data or not self.skip_tags.isdisjoint(self._open):
             return
-        # Character references are decoded only now, so a reference like
-        # "&#13;" or "&#8203;" can bring back what _strip_control took out of
-        # the page. Every character it changes is non-printable, so the cheap
-        # test spares the translate for the usual chunk that holds none.
+        # Every character _strip_control changes is non-printable, so the
+        # cheap test spares the translate for the usual chunk that holds none.
         if not data.replace("\n", " ").isprintable():
             data = _strip_control(data)
-        if not self._pre_depth:
+        if "pre" not in self._open:
             data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
         self._parts.append(data)
-        if self._anchor_depth:
+        if "a" in self._open:
             self._link_chars += len(data.replace(" ", "").replace("\n", ""))
 
     def close(self):

@@ -194,7 +194,7 @@ def _strip_control(text: str) -> str:
 
 
 def _decode(raw: bytes, content_type: str) -> str:
-    m = re.search(r"charset=([\w\-]+)", content_type or "", re.IGNORECASE)
+    m = re.search(r"charset=[\"']?([\w\-]+)", content_type or "", re.IGNORECASE)
     encoding = m.group(1) if m else "utf-8"
     try:
         return raw.decode(encoding, errors="replace")
@@ -220,9 +220,9 @@ def extract_text(raw: bytes, content_type: str = "") -> str:
     if raw[:5] == b"%PDF-" or re.search(r"application/(pdf|octet-stream)",
                                         content_type or "", re.IGNORECASE):
         raise EmptyAfterExtraction("binary document; no extractable policy text")
-    decoded = _strip_control(_decode(raw, content_type))
+    decoded = _decode(raw, content_type)
     if "text/plain" in (content_type or "").lower():
-        text = _normalize_plain(decoded)
+        text = _normalize_plain(_strip_control(decoded))
     else:
         # Imported here: audit and verify never extract, so they should not
         # load html.parser.

@@ -113,6 +113,11 @@ _CONTROL_TEXT = st.text(st.one_of(
     st.characters(),
 ), max_size=40)
 
+# A sentence of lowercase words, some hard-wrapped, as a page's <p> holds it.
+_SENTENCE = st.lists(st.tuples(st.text("abcdefghij", min_size=1, max_size=8),
+                               st.sampled_from([" ", "\n"])), min_size=1, max_size=8).map(
+    lambda words: "".join(w + sep for w, sep in words)[:-1] + ".")
+
 
 def _verdicts(text):
     return {f.dimension: f.verdict for f in detect_all(text, load_rules(default_rules_path()))}
@@ -267,6 +272,52 @@ class TestExtractText:
     def test_where_a_skipped_landmark_ends(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
 
+    @pytest.mark.parametrize("raw, expected", [
+        (b"<div><a href=/>Home</div><p>We encrypt your data at rest.</p>",
+         "We encrypt your data at rest."),
+        (b"<ul><li><a href=/a>About</li><li><a href=/b>Careers</li></ul><p>We encrypt your data.</p>",
+         "We encrypt your data."),
+        (b"<div><pre>a\nb</div><p>We will notify you of any\nsecurity breach.</p>",
+         "a\nb\nWe will notify you of any security breach."),
+        (b"<p>Read <a href=/a>our terms</a> and <b><a href=/b>FAQ</b> here, then the rest.</p>",
+         "Read our terms and FAQ here, then the rest."),
+    ])
+    def test_a_and_pre_end_where_any_element_ends(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    @settings(deadline=None)
+    @given(st.lists(_SENTENCE, min_size=1, max_size=4), st.sampled_from(["div", "li"]),
+           st.sampled_from(["a href=/about", "pre"]), _SENTENCE,
+           st.lists(_SENTENCE, min_size=1, max_size=4))
+    def test_an_unclosed_a_or_pre_ends_with_its_block(self, before, block, inner, label, after):
+        """Each sentence after a block that leaves an <a> or <pre> open is
+        kept as its own line, with its wraps read as spaces."""
+        held = f"<{block}><{inner}>{label}</{block}>"
+        if block == "li":
+            held = f"<ul>{held}</ul>"
+        page = "".join(f"<p>{s}</p>" for s in before) + held + "".join(f"<p>{s}</p>" for s in after)
+        lines = extract_text(page.encode(), "text/html").split("\n")
+        for sentence in after:
+            assert sentence.replace("\n", " ") in lines
+
+    @pytest.mark.parametrize("raw, expected", [
+        (b"<html><head><title>X</title><body><p>We encrypt your data.</p></body></html>",
+         "We encrypt your data."),
+        (b"<head><title>X</title><p>We encrypt your data.</p>", "We encrypt your data."),
+        (b"<head><title>X</title>We encrypt your data.", "We encrypt your data."),
+        (b"<head><meta charset=utf-8>\n<title>X</title>\n<link rel=icon href=/i>\n"
+         b"<script>x()</script>\n<body><p>We encrypt your data.</p>", "We encrypt your data."),
+        # a head that is closed, or holds only what a head can hold, hides it
+        (b"<head><title>X</title><style>p { color: red }</style></head><p>Text.</p>", "Text."),
+        (b"<head>\n<title>X</title>\n</head>\n<p>Text.</p>", "Text."),
+    ])
+    def test_head_ends_where_the_tree_builder_ends_it(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    def test_a_control_character_in_a_tag_name_does_not_join_its_halves(self):
+        out = extract_text(b"<p>Before.</p><scr\x00ipt>x()</script><p>After.</p>", "text/html")
+        assert "x()" in out and out.startswith("Before.") and out.endswith("After.")
+
     def test_pdf_is_not_parseable(self):
         with pytest.raises(EmptyAfterExtraction):
             extract_text(b"%PDF-1.7 binary junk", "application/pdf")
@@ -275,6 +326,14 @@ class TestExtractText:
 
     def test_entities_unescaped(self):
         assert extract_text(b"<p>Terms &amp; Conditions</p>", "text/html") == "Terms & Conditions"
+
+    @pytest.mark.parametrize("content_type", [
+        'text/html; charset="iso-8859-1"', "text/html; charset='iso-8859-1'",
+        "text/html; charset=iso-8859-1",
+    ])
+    def test_quoted_charset_is_read(self, content_type):
+        raw = "<p>Données protégées.</p>".encode("latin-1")
+        assert extract_text(raw, content_type) == "Données protégées."
 
     @pytest.mark.parametrize("charset", ["idna", "punycode", "undefined", "rot13", "no-such-charset"])
     def test_unusable_charset_falls_back_to_utf8(self, charset):
