@@ -22,17 +22,21 @@ strong hits. No rule data lives in code: a span's rule id
 (``dimension:index``) names the pattern that matched, so the rules file is the
 one place a regulation is named.
 
-Each side of a pattern keeps a *needle*, its longest ASCII word lowercased:
-every match of the side contains it in the document's ``FOLD`` copy
-(:class:`~praf.readability.AnalyzedText`). A pattern runs only on its
-*candidate sentences*, those whose span holds every needle, which
-``str.find`` locates in the folded text; a pattern whose needle is absent
-from the document never runs. This is exact: ``FOLD`` keeps offsets and maps
-each character that ``re.IGNORECASE`` equates with an ASCII character to that
-character. A side with no ASCII word gets the empty needle, which every
-sentence holds. The regex runs with ``pos`` and ``endpos`` on the whole text,
-which reads like the sentence alone: the character before a sentence is
-never a word character, so ``\\b`` at its start sees the same boundary.
+Each side of a pattern keeps a *needle*: the longest run of ``[A-Za-z0-9_]``
+in its ASCII words, lowercased, and a prefix if the run ends a word ending in
+``*`` ("notif*" gives the prefix "notif", "third-part*" gives "third"). A
+pattern runs only on *candidate sentences*, whose words (``\\w+`` runs of the
+``FOLD`` copy, :class:`~praf.readability.AnalyzedText`) hold every needle as a
+word or a word's start; one pass over a document's words finds them all. This
+is exact. The regex puts ``\\b`` or ``\\s+`` around each word, and the run is
+bounded by non-word characters inside its word, so a match holds it as a word
+(or a word's start, before ``\\w*``). ``FOLD`` keeps offsets, maps word
+characters and no others to word characters, and maps each character that
+``re.IGNORECASE`` equates with an ASCII character to that character. The
+empty needle, of a side with no ASCII word, is in every sentence. The regex
+runs with ``pos`` and ``endpos`` on the whole text, which reads like the
+sentence alone: the characters just outside a sentence are never word
+characters, so its words and ``\\b`` at its ends are the text's.
 
 For the language detectors, ``ambiguous_language.strong`` holds the hedge
 terms and ``vague_commitments`` uses ``strong`` for generic assurances with
@@ -48,12 +52,11 @@ reports and verification all read these two tables.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (NUMBER, MalformedRules, NoSentences, UnknownDimension, UnsupportedDimension,
                      read_json)
@@ -166,16 +169,20 @@ class Finding:
                 raise ValueError(f"{self.dimension.value}: positive verdict without evidence")
 
 
+class Needle(NamedTuple):
+    """A word that every match of a pattern side holds, or the start of one."""
+
+    word: str
+    prefix: bool = False
+
+
 @dataclass(frozen=True)
 class CompiledPattern:
     raw: str
     rule_id: str
     regex: re.Pattern | None            # plain phrase
     parts: tuple[re.Pattern, ...] = ()  # proximity sub-patterns (all in one sentence)
-    # Per side, a literal every match of the side contains ("" when the side
-    # has no ASCII word); the candidate sentences of the pattern are those
-    # that hold every needle.
-    needles: tuple[str, ...] = ()
+    needles: tuple[Needle, ...] = ()    # one per side
 
 
 def _phrase_regex(phrase: str) -> re.Pattern:
@@ -191,28 +198,22 @@ def _phrase_regex(phrase: str) -> re.Pattern:
     return re.compile(r"\b" + r"\s+".join(pieces) + r"\b", re.IGNORECASE)
 
 
-def _needle(phrase: str) -> str:
-    """The phrase's longest ASCII word without its ``*``, lowercased. Every
-    match of the phrase's regex contains it in the ``FOLD`` copy of the text,
-    which is exact only for ASCII; a phrase with no ASCII word gives ""."""
-    literals = [w.removesuffix("*").lower() for w in phrase.split() if w.isascii()]
-    return max(literals, key=len, default="")
+def _needle(phrase: str) -> Needle:
+    """The first longest ``[A-Za-z0-9_]`` run of the phrase's ASCII words,
+    lowercased; a prefix when it ends a word ending in ``*``; else empty."""
+    runs = [Needle(m[0].lower(), w.endswith("*") and m.end() == len(w) - 1)
+            for w in phrase.split() if w.isascii() for m in re.finditer(r"\w+", w)]
+    return max(runs, key=lambda n: len(n.word), default=Needle(""))
 
 
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
+    sides = [side.strip() for side in raw.split("~")]
     try:
-        if "~" in raw:
-            sides = [p.strip() for p in raw.split("~")]
-            parts = tuple(_phrase_regex(side) for side in sides)
-            if len(parts) < 2:
-                raise MalformedRules(f"proximity pattern needs two sides: {raw!r}")
-            return CompiledPattern(raw=raw, rule_id=rule_id, regex=None, parts=parts,
-                                   needles=tuple(_needle(side) for side in sides))
-        regex = _phrase_regex(raw)
-        return CompiledPattern(raw=raw, rule_id=rule_id, regex=regex,
-                               needles=(_needle(raw),))
+        regexes = tuple(map(_phrase_regex, sides))
     except re.error as exc:
         raise MalformedRules(f"pattern {raw!r} does not compile: {exc}") from exc
+    regex, parts = (regexes[0], ()) if len(sides) == 1 else (None, regexes)
+    return CompiledPattern(raw, rule_id, regex, parts, tuple(map(_needle, sides)))
 
 
 @dataclass(frozen=True)
@@ -271,28 +272,63 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
+# ASCII bytes but [A-Za-z0-9_] map to a space; the bytes of non-ASCII
+# characters are 0x80 or above and stay, so the mapped text keeps offsets.
+_NON_WORD = bytes.maketrans(bytes(range(128)), bytes(
+    c if chr(c).isalnum() or chr(c) == "_" else ord(" ") for c in range(128)))
+
+
+def _sentence_words(doc: AnalyzedText) -> list[list[str]]:
+    """The ``\\w+`` words of each sentence of the folded text: an ASCII
+    sentence's are its mapped chunks; in another, "’" and "©" are not word
+    characters but "é" is, so the regex finds them."""
+    mapped = doc.folded.encode("utf-8", "surrogatepass").translate(_NON_WORD)
+    mapped = mapped.decode("utf-8", "surrogatepass")
+    return [s.split() if s.isascii() else re.findall(r"\w+", s)
+            for s in (mapped[a:b] for a, b in doc.sentence_spans)]
+
+
+def _word_index(doc: AnalyzedText,
+                patterns: Iterable[CompiledPattern]) -> Mapping[Needle, Sequence[int]]:
+    """``doc``'s memo of the sentences, in text order, whose words hold each
+    needle, once one pass over the words has added those of ``patterns``."""
+    index = doc.needle_sentences
+    missing = {n for p in patterns for n in p.needles if n not in index}
+    if not missing:
+        return index
+    words = _sentence_words(doc)
+    vocabulary = set().union(*words)
+    # each word of the document that holds a needle, with the needles it holds
+    by_word = {n.word: [n] for n in missing if not n.prefix and n.word in vocabulary}
+    if prefixes := [n for n in missing if n.prefix]:
+        ordered = sorted(vocabulary)
+        for needle in prefixes:
+            i = bisect_left(ordered, needle.word)
+            while i < len(ordered) and ordered[i].startswith(needle.word):
+                by_word.setdefault(ordered[i], []).append(needle)
+                i += 1
+    found = {n: [] if n.word else range(len(words)) for n in missing}
+    for k, sentence in enumerate(words):
+        for word in by_word.keys() & sentence:
+            for needle in by_word[word]:
+                if not found[needle] or found[needle][-1] != k:  # once per sentence
+                    found[needle].append(k)
+    index.update(found)
+    return index
+
+
 def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText,
-                         within: Container[int] | None = None) -> list[int]:
+                         within: Container[int] | None = None) -> Sequence[int]:
     """Indices, in text order, of the sentences (of ``within``, if given)
-    whose span holds an occurrence of every needle of the pattern; no other
-    sentence can match it."""
-    spans, folded = doc.sentence_spans, doc.folded
-    candidates: list[int] = []
-    for needle in pattern.needles:
-        candidates = []  # in text order, each sentence once
-        i = folded.find(needle)
-        while i != -1:
-            k = bisect_right(spans, i, key=itemgetter(0)) - 1  # last sentence starting at or before i
-            # the occurrence starts and ends in sentence k (an empty one too)
-            if k >= 0 and i < spans[k][1] and i + len(needle) <= spans[k][1]:
-                if within is None or k in within:
-                    candidates.append(k)
-                i = max(i, spans[k][1] - 1)  # the next sentence starts at or after this one's end
-            i = folded.find(needle, i + 1)
-        if not candidates:
-            break
-        within = set(candidates)
-    return candidates
+    whose words hold every needle of the pattern: no other can match it."""
+    index = doc.needle_sentences
+    if not index.keys() >= set(pattern.needles):  # called alone: not indexed yet
+        index = _word_index(doc, [pattern])
+    first, *others = map(index.__getitem__, pattern.needles)
+    if not first or (not others and within is None):
+        return first
+    sets = [set(o) for o in others] + ([] if within is None else [within])
+    return [k for k in first if all(k in s for s in sets)]
 
 
 def _evidence(pattern: CompiledPattern, doc: AnalyzedText,
@@ -348,6 +384,7 @@ def _phrase_finding(doc: AnalyzedText, dim: DetectionDimension, rules: RuleSet) 
     hedged coverage (partial). A yes for retention carries the first duration
     (number and unit) in a sentence with a strong retention match."""
     dr = rules.rules_for(dim)
+    _word_index(doc, dr.strong + dr.weak)
     for verdict, patterns in ((Verdict.YES, dr.strong), (Verdict.PARTIAL, dr.weak)):
         hits = [(k, span) for p in patterns for k, span in _evidence(p, doc)]
         if hits:
@@ -378,6 +415,7 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     if not sentences:
         raise NoSentences("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
+    _word_index(doc, dr.strong)
     partial_at, yes_at = dr.thresholds["partial_density"], dr.thresholds["yes_density"]
     spans = [EvidenceSpan(*sentences[k], rule_id)
              for k, rule_id in _first_rule_by_sentence(dr.strong, doc).items()]
@@ -395,6 +433,7 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     """Generic security assurances with no concrete mechanism in the same sentence."""
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
+    _word_index(doc, dr.strong + dr.weak)
     yes_at = dr.thresholds["yes_sentences"]
     claims = _first_rule_by_sentence(dr.strong, doc)
     # A named safeguard in the same sentence defuses a claim.
@@ -409,6 +448,7 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
 def detect_all(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
     """All thirteen findings in table column order, from one analysis of the text."""
     doc = analyze(text)
+    _word_index(doc, [p for dr in rules.by_dimension.values() for p in dr.strong + dr.weak])
     by_dim = {f.dimension: f for f in detect_regulations(doc, rules)}
     for dim in dimensions(kind="principle"):
         by_dim[dim] = detect_principle(doc, dim, rules)

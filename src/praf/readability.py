@@ -22,7 +22,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import NonAlphabetic, NoSentences
@@ -231,6 +231,8 @@ class AnalyzedText:
     text: str
     sentence_spans: tuple[tuple[int, int], ...]
     folded: str
+    # The sentences of each rule needle looked up so far (see detect._word_index).
+    needle_sentences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def analyze(text: str | AnalyzedText) -> AnalyzedText:

@@ -11,6 +11,7 @@ from praf.detect import (
     DetectionDimension as Dim,
     EvidenceSpan,
     Finding,
+    Needle,
     RuleSet,
     Verdict,
     apply_overrides,
@@ -23,7 +24,9 @@ from praf.detect import (
     detect_vague_commitments,
     load_rules,
     no_findings,
+    _candidate_sentences,
     _evidence,
+    _sentence_words,
 )
 from praf.errors import MalformedRules, MissingFile, UnknownDimension, UnsupportedDimension
 from praf.readability import FOLD, analyze
@@ -291,7 +294,8 @@ def _all_patterns(ruleset):
 def _without_prefilter(ruleset) -> RuleSet:
     """The same rules with empty needles, so every pattern runs on every sentence."""
     def strip(patterns):
-        return tuple(dataclasses.replace(p, needles=("",) * len(p.needles)) for p in patterns)
+        return tuple(dataclasses.replace(p, needles=(Needle(""),) * len(p.needles))
+                     for p in patterns)
     return RuleSet({dim: dataclasses.replace(dr, strong=strip(dr.strong), weak=strip(dr.weak))
                     for dim, dr in ruleset.by_dimension.items()})
 
@@ -326,8 +330,11 @@ _TOKENS = st.one_of(
     st.sampled_from(_RULE_WORDS).flatmap(_variants),
     st.sampled_from(_RULE_SIDES).flatmap(_phrase),
     st.sampled_from(_SPECIAL + [".", "!", "?", "\"", "'", "\u201d", "\n", "e.g.", "3.5", "J."]),
+    # non-word characters, ASCII and not, and word characters against rule words
+    st.sampled_from(["data\u2019s", "encrypt_", "24hours", "third-party", "\u00a9HIPAA"]),
 )
-_SEPARATORS = st.sampled_from([" ", " ", "  ", "\n", ". ", "! ", "? ", "\t", ""])
+_SEPARATORS = st.sampled_from([" ", " ", "  ", "\n", ". ", "! ", "? ", "\t", "",
+                               "\u2019", "\u00a0", "\u00a9", "_", "7", "-"])
 _RULE_TEXT = st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=40).map(
     lambda pairs: "".join(token + sep for token, sep in pairs))
 
@@ -383,10 +390,16 @@ class TestPrefilter:
                        if re.fullmatch(re.escape(c), ch, re.IGNORECASE)}
             assert matched == {ch.translate(FOLD)}, hex(cp)
 
-    def test_needles_are_the_longest_literal_word_of_each_side(self):
-        assert compile_pattern("data protection law*", "r:0").needles == ("protection",)
-        assert compile_pattern("notif* ~ Breach", "r:1").needles == ("notif", "breach")
-        assert compile_pattern("r\u00e9sum\u00e9", "r:2").needles == ("",)
+    @pytest.mark.parametrize("raw,needles", [
+        ("data protection law*", [("protection", False)]),
+        ("notif* ~ Breach", [("notif", True), ("breach", False)]),
+        # the longest run of word characters, a prefix only where "*" ends it
+        ("third-part*", [("third", False)]),
+        ("need-to-know", [("need", False)]),
+        ("r\u00e9sum\u00e9", [("", False)]),
+    ])
+    def test_needles_are_the_longest_literal_word_of_each_side(self, raw, needles):
+        assert compile_pattern(raw, "r:0").needles == tuple(Needle(*n) for n in needles)
 
     @pytest.mark.parametrize("raw,text,spans", [
         # a hard wrap before a lowercase word stays inside the sentence
@@ -429,15 +442,27 @@ class TestPrefilter:
         assert finding.verdict is Verdict.YES
         assert {e.rule_id for e in finding.evidence} == {rule}
 
-    @settings(max_examples=200, deadline=None)
+    @settings(deadline=None)
     @given(_RULE_TEXT)
-    def test_a_pattern_that_matches_is_possible(self, text):
-        folded = analyze(text).folded
+    def test_a_sentence_that_matches_is_a_candidate(self, text):
+        doc = analyze(text)
         for pattern in _all_patterns(_RULES):
-            if matches_in(pattern, text):
-                assert all(n in folded for n in pattern.needles), pattern.raw
+            candidates = _candidate_sentences(pattern, doc)
+            for k, (a, b) in enumerate(doc.sentence_spans):
+                if matches_in(pattern, text[a:b]):
+                    assert k in candidates, (pattern.raw, text[a:b])
 
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
+    @given(st.one_of(st.text(), st.text(st.characters(exclude_categories=())),
+                     st.text(st.sampled_from("aZ09_ -.\n'\u2019\u00a0\u00a9\u00e9\u0130\ud800"))))
+    def test_sentence_words_are_the_word_regex_matches(self, text):
+        doc = analyze(text)
+        reference = [re.findall(r"\w+", doc.folded[a:b]) for a, b in doc.sentence_spans]
+        assert [set(words) for words in _sentence_words(doc)] == [set(r) for r in reference]
+        # no word of the whole text crosses a sentence boundary
+        assert [w for words in reference for w in words] == re.findall(r"\w+", doc.folded)
+
+    @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_findings_do_not_depend_on_analysis_or_prefilter(self, text):
         assume(analyze(text).sentence_spans)
