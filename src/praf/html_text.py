@@ -1,12 +1,19 @@
-"""Block text of an HTML page, for :func:`praf.ingest.extract_text`.
-
-A module of its own so that only extraction loads ``html.parser``: ``praf
-audit`` and ``praf verify`` read cached text and never import it.
+"""Block text of an HTML page, for :func:`praf.ingest.extract_text`, which
+alone loads this module. praf's own tokenizer reads the page, so the text
+does not depend on the Python version. At each ``<`` (``str.find``) one
+compiled pattern is matched, anchored: a tag, a comment, or ``<!…>``,
+``<?…>`` or ``</…>`` read as a comment; any other ``<`` is text. Tags and
+comments end as in the WHATWG tokenizer (https://html.spec.whatwg.org/multipage/parsing.html#tokenization);
+as in ``html.parser``, only ``script`` and ``style`` hold raw text, up to
+their first end tag, and not when self-closing. A construct with no end
+before the end of the page (a tag, a quoted value, a comment or raw text) is
+markup cut off by a truncated download; it ends the scan, so no ``<`` is matched twice.
 """
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import re
+from html import unescape
 
 from .ingest import _normalize_plain, _strip_control
 
@@ -26,10 +33,23 @@ UNSTACKED_TAGS = {"area", "base", "br", "col", "embed", "hr", "img", "input", "l
 HEAD_CONTENT_TAGS = {"base", "basefont", "bgsound", "link", "meta", "noframes", "noscript",
                      "script", "style", "template", "title"}
 
+# Names and unquoted values match whole (the lookaheads): one reading, linear backtracking.
+_MARKUP = re.compile(r"""<(?:
+    (/?) ([a-zA-Z][^\t\n\r\f />]*) (?![^\t\n\r\f />])              # tag name, then
+    (?: [\t\n\r\f ] | /(?!>) | [^\t\n\r\f />][^\t\n\r\f />=]* (?![^\t\n\r\f />=])  # attribute name
+        (?: [\t\n\r\f ]*=[\t\n\r\f ]* (?: "[^"]*" | '[^']*' | (?=>)  # and value: quoted,
+              | [^\t\n\r\f >"'][^\t\n\r\f >]* (?![^\t\n\r\f >]) )  # empty or unquoted
+          | (?![\t\n\r\f ]*=) ) )* (/?)>
+  | !--(?:-?>|.*?--!?>)                                             # comment
+  | (?:!(?!--)|\?|/(?![a-zA-Z]))[^>]*>                              # read as a comment
+  | (?=[^a-zA-Z/!?])                                                # text
+)""", re.S | re.X)
+_RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A) for t in ("script", "style")}
 
-class TextExtractor(HTMLParser):
+
+class TextExtractor:
     """Collects one line per visible block in ``lines``, leaving out the
-    elements named in ``skip_tags``; feed the decoded page, then close.
+    elements named in ``skip_tags``; read the decoded page with ``read``.
 
     The stack of open elements alone decides whether text is skipped, link
     text or preformatted. Every element ends at its own end tag or, left open, at the end tag of
@@ -37,12 +57,44 @@ class TextExtractor(HTMLParser):
     an end tag that matches no open element is ignored."""
 
     def __init__(self, skip_tags: set[str]):
-        super().__init__(convert_charrefs=True)
         self.skip_tags = skip_tags
         self.lines: list[str] = []
         self._parts: list[str] = []
         self._link_chars = 0
         self._open: list[str] = []  # the stack of open elements
+
+    def read(self, page: str) -> list[str]:
+        """Tokenize the whole page into the handlers; returns ``lines``."""
+        text_at, i = 0, page.find("<")  # text_at: the start of the text before i
+        while i >= 0 and (m := _MARKUP.match(page, i)):  # no match: markup cut off
+            if m.end() == i + 1:  # a "<" that opens nothing is text
+                i = page.find("<", i + 1)
+                continue
+            if text_at < i:
+                self.handle_data(unescape(page[text_at:i]))
+            text_at = end = m.end()
+            closing, name, self_closing = m.groups()
+            tag = name and name.lower()  # None for a comment
+            if closing:
+                self.handle_endtag(tag)
+            elif tag:
+                self.handle_starttag(tag)
+                if self_closing:  # a "/" right before the ">", not in a value
+                    self.handle_endtag(tag)
+                elif tag in _RAW_TEXT_END:  # its text up to its end tag is one raw chunk
+                    raw_end = _RAW_TEXT_END[tag].search(page, end)
+                    end_tag = raw_end and _MARKUP.match(page, raw_end.start())
+                    if not end_tag:
+                        break  # cut off; i < text_at, so no text follows
+                    self.handle_data(page[end:raw_end.start()])
+                    self.handle_endtag(tag)
+                    text_at = end_tag.end()
+            i = page.find("<", text_at)
+        stop = i if i >= 0 else len(page)
+        if text_at < stop:
+            self.handle_data(unescape(page[text_at:stop]))
+        self._flush()
+        return self.lines
 
     def _flush(self):
         if not self._parts:
@@ -58,7 +110,7 @@ class TextExtractor(HTMLParser):
             return  # link-dominated boilerplate block
         self.lines.append(text)
 
-    def handle_starttag(self, tag, attrs):
+    def handle_starttag(self, tag):
         if self._open and self._open[-1] == "head" and tag not in HEAD_CONTENT_TAGS:
             self._open.pop()
         if tag not in UNSTACKED_TAGS:
@@ -80,29 +132,9 @@ class TextExtractor(HTMLParser):
             self._open.pop()
         if not data or not self.skip_tags.isdisjoint(self._open):
             return
-        # Every character _strip_control changes is non-printable, so the
-        # cheap test spares the translate for the usual chunk that holds none.
-        if not data.replace("\n", " ").isprintable():
-            data = _strip_control(data)
+        data = _strip_control(data)
         if "pre" not in self._open:
             data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
         self._parts.append(data)
         if "a" in self._open:
             self._link_chars += len(data.replace(" ", "").replace("\n", ""))
-
-    def close(self):
-        # Input left unparsed at the end that starts with "<" is markup cut
-        # off before its end (a truncated page); html.parser would flush it
-        # as text, so drop it.
-        if self.rawdata.startswith("<"):
-            self.rawdata = ""
-        super().close()
-        self._flush()
-
-    def parse_marked_section(self, i, report=1):
-        # html.parser raises AssertionError on a "<![" that opens no known
-        # marked section; read it as a bogus comment up to ">", as browsers do.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            return self.parse_bogus_comment(i, report)

@@ -190,6 +190,11 @@ _CONTROL.update(str.maketrans("\t\v\f\r", "   \n"))
 def _strip_control(text: str) -> str:
     """Drop zero-width and control characters, keeping newlines; CRLF and
     lone CR become a newline, tab, VT and FF a space."""
+    # Every character the table changes is non-printable, so the cheap test
+    # spares the translate, which is slow on non-ASCII text, for the usual
+    # text that holds none.
+    if text.replace("\n", " ").isprintable():
+        return text
     return text.replace("\r\n", "\n").translate(_CONTROL)
 
 
@@ -225,16 +230,14 @@ def extract_text(raw: bytes, content_type: str = "") -> str:
         text = _normalize_plain(_strip_control(decoded))
     else:
         # Imported here: audit and verify never extract, so they should not
-        # load html.parser.
+        # load the tokenizer and its compiled pattern.
         from .html_text import LANDMARK_TAGS, SKIP_TAGS, TextExtractor
         # Landmarks are page chrome, unless skipping them leaves no text.
         for skip_tags in (SKIP_TAGS, SKIP_TAGS - LANDMARK_TAGS):
-            parser = TextExtractor(skip_tags)
-            parser.feed(decoded)
-            parser.close()
-            if parser.lines:
+            lines = TextExtractor(skip_tags).read(decoded)
+            if lines:
                 break
-        text = "\n".join(parser.lines)
+        text = "\n".join(lines)
     if not text.strip():
         raise EmptyAfterExtraction("no visible text after extraction")
     return text

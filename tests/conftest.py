@@ -28,7 +28,8 @@ def reference():
 # of test_cli.py, the per-sentence finditer and language references, the
 # prefilter independence and candidate superset properties of test_detect.py,
 # the two whitespace invariance properties of test_readability.py, the rubric
-# table property of test_score.py and the unclosed <a>/<pre> property of
-# test_ingest.py. These state no max_examples of their own, so the tier-1 run
-# keeps Hypothesis's default number of examples.
+# table property of test_score.py, and the unclosed <a>/<pre> property and
+# the html.parser differential property of test_ingest.py. These state no
+# max_examples of their own, so the tier-1 run keeps Hypothesis's default
+# number of examples.
 settings.register_profile("ci", max_examples=1000)

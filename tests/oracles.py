@@ -4,8 +4,10 @@ what the program emits, kept out of the package because only tests use them."""
 import csv
 import io
 import json
+from html.parser import HTMLParser
 
 from praf.detect import DetectionDimension as Dim, Verdict
+from praf.html_text import LANDMARK_TAGS, SKIP_TAGS, TextExtractor
 from praf.readability import _WORD_RE, ReadabilityBand
 from praf.score import ELEMENTS
 
@@ -74,3 +76,54 @@ def parse_matrix(document: str, fmt: str) -> list[dict]:
             rows.append(row)
         return rows
     raise ValueError(f"unknown matrix format {fmt!r}")
+
+
+class HTMLParserExtractor(HTMLParser):
+    """The tokenizer that ``TextExtractor.read`` replaced: ``html.parser``
+    driving the same handlers, with the two patches extraction needed on it.
+    Where praf's tokenizer follows WHATWG instead, the two differ; the
+    pages of the differential property avoid those constructs."""
+
+    def __init__(self, skip_tags: set[str]):
+        super().__init__(convert_charrefs=True)
+        self.extractor = TextExtractor(skip_tags)
+
+    def handle_starttag(self, tag, attrs):
+        self.extractor.handle_starttag(tag)
+
+    def handle_endtag(self, tag):
+        self.extractor.handle_endtag(tag)
+
+    def handle_data(self, data):
+        self.extractor.handle_data(data)
+
+    def close(self):
+        # Input left unparsed at the end that starts with "<" is markup cut
+        # off before its end (a truncated page); html.parser would flush it
+        # as text, so drop it.
+        if self.rawdata.startswith("<"):
+            self.rawdata = ""
+        super().close()
+        self.extractor._flush()
+
+    def parse_marked_section(self, i, report=1):
+        # html.parser raises AssertionError on a "<![" that opens no known
+        # marked section; read it as a bogus comment up to ">", as browsers do.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
+
+def html_parser_lines(page: str, skip_tags: set[str]) -> list[str]:
+    parser = HTMLParserExtractor(skip_tags)
+    parser.feed(page)
+    parser.close()
+    return parser.extractor.lines
+
+
+def html_parser_text(page: str) -> str:
+    """``extract_text`` of a decoded HTML page as it read before praf had
+    its own tokenizer: landmarks dropped, or kept if that leaves no text."""
+    lines = html_parser_lines(page, SKIP_TAGS) or html_parser_lines(page, SKIP_TAGS - LANDMARK_TAGS)
+    return "\n".join(lines)

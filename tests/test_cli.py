@@ -483,12 +483,22 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def _run_fresh(tmp_path, *commands):
+# The same for one HTML page extracted, which must load praf's tokenizer.
+_EXTRACT_GUARD = """
+import json, sys
+before = set(sys.modules)
+from praf.ingest import extract_text
+assert extract_text(b"<p>We encrypt your data.</p>", "text/html") == "We encrypt your data."
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _run_fresh(tmp_path, *commands, script=_IMPORT_GUARD):
     """(stdout, modules loaded) of ``commands`` run in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "PRAF_CACHE"}
     src = str(Path(praf.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out"), *commands],
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *commands],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, set(json.loads(proc.stdout.splitlines()[-1]))
@@ -504,4 +514,10 @@ def test_audit_and_verify_load_no_http_client(tmp_path):
 def test_audit_loads_no_fetch_or_verify_module(tmp_path):
     _, loaded = _run_fresh(tmp_path, "audit")
     assert "praf.pipeline" in loaded
-    assert loaded & {"concurrent.futures", "praf.verify", "html.parser"} == set()
+    assert loaded & {"concurrent.futures", "praf.verify", "praf.html_text"} == set()
+
+
+def test_extraction_loads_no_html_parser(tmp_path):
+    _, loaded = _run_fresh(tmp_path, script=_EXTRACT_GUARD)
+    assert "praf.html_text" in loaded
+    assert "html.parser" not in loaded

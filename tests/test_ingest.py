@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure, MalformedCodebook
+from praf.html_text import BLOCK_TAGS, LANDMARK_TAGS, SKIP_TAGS, TextExtractor
 from praf.ingest import (
     DEFAULT_USER_AGENT,
     FetchFailure,
@@ -37,6 +38,8 @@ from praf.ingest import (
 )
 from praf.pipeline import fetch_corpus
 from praf.readability import sentence_spans
+
+from oracles import html_parser_lines, html_parser_text
 
 DATA = Path(__file__).parent / "data"
 TS = datetime(2025, 1, 15, tzinfo=timezone.utc)
@@ -119,6 +122,43 @@ _SENTENCE = st.lists(st.tuples(st.text("abcdefghij", min_size=1, max_size=8),
     lambda words: "".join(w + sep for w, sep in words)[:-1] + ".")
 
 
+def _any_case(names):
+    return st.sampled_from(sorted(names)).flatmap(lambda name: st.lists(
+        st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(name, upper))))
+
+
+# Pages from a markup grammar that html.parser and praf's tokenizer read
+# alike. Every word of text follows a space or a newline: html.parser makes a
+# "<" that opens no markup a chunk of its own, and chunks are joined with a
+# space, so "3<5" reads "3 < 5" there.
+_BLANK = st.sampled_from([" ", "\n", "  "])
+_TEXT = st.lists(st.tuples(_BLANK, st.sampled_from(
+    ["We", "keep", "data", "x/y", "a>b", "&amp;", "&#65;", "&lt;", "&", "<"])), min_size=1,
+    max_size=5).map(lambda words: "".join(blank + word for blank, word in words))
+_ATTRIBUTE = st.tuples(st.sampled_from([" ", "\n"]), st.sampled_from(["href", "class", "hidden"]),
+                       st.one_of(st.just(""), st.text("ab/", min_size=1, max_size=4).map("={}".format),
+                                 st.text("ab/> '=", max_size=4).map('="{}"'.format),
+                                 st.text('ab/> "=', max_size=4).map("='{}'".format))).map("".join)
+_TAG_NAMES = BLOCK_TAGS | SKIP_TAGS - {"script", "style"} | {"a", "b", "span", "br", "img",
+                                                              "html", "body", "head"}
+_START_TAG = st.tuples(st.just("<"), _any_case(_TAG_NAMES), st.lists(_ATTRIBUTE, max_size=3).map("".join),
+                       st.sampled_from([">", "/>", " />", " >"])).map("".join)
+_END_TAG = st.tuples(st.just("</"), _any_case(_TAG_NAMES), st.sampled_from([">", " >"])).map("".join)
+_RAW_TEXT_ELEMENT = st.sampled_from(["script", "style"]).flatmap(lambda tag: st.tuples(
+    st.just("<"), _any_case({tag}), st.lists(_ATTRIBUTE, max_size=2).map("".join), st.just(">"),
+    st.lists(st.sampled_from(["x = 1;", " ", "\n", "<", "</p>", "</scriptx", "</stylex", "&amp;",
+                              "if (a<b)"]), max_size=6).map("".join),
+    st.just("</"), _any_case({tag}), st.sampled_from([">", " >"])).map("".join))
+_PAGE = st.tuples(st.lists(st.one_of(
+    _TEXT, _START_TAG, _END_TAG, _RAW_TEXT_ELEMENT,
+    _TEXT.map("<!--{} -->".format),
+    st.sampled_from(["<!DOCTYPE html>", "<!doctype html>", '<?xml version="1.0"?>',
+                     "<script/>", "<STYLE />"])), max_size=20).map("".join),
+    st.one_of(st.none(), st.integers(0, 400))).map(
+    lambda page_cut: page_cut[0][:page_cut[1]])  # markup cut off at the end
+
+
 def _verdicts(text):
     return {f.dimension: f.verdict for f in detect_all(text, load_rules(default_rules_path()))}
 
@@ -142,6 +182,12 @@ class TestControlCharacters:
     @given(_CONTROL_TEXT)
     def test_strip_control_matches_the_per_character_loop(self, text):
         assert _strip_control(text) == _strip_control_reference(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(["\r", "\r\n", "\n", "\u200b", "\ufeff"]),
+                              st.characters())).map("".join))
+    def test_strip_control_guard_changes_no_result(self, text):
+        assert _strip_control(text) == text.replace("\r\n", "\n").translate(_CONTROL)
 
     @settings(max_examples=500, deadline=None)
     @given(_CONTROL_TEXT)
@@ -366,6 +412,58 @@ class TestExtractText:
         except EmptyAfterExtraction:
             return
         assert text.strip()
+
+    @settings(deadline=None)
+    @given(_PAGE)
+    def test_extraction_equals_the_html_parser_reference(self, page):
+        """On pages of the grammar the tokenizer drives the handlers as
+        html.parser did; with nothing skipped, script text shows too."""
+        for skip_tags in (SKIP_TAGS, SKIP_TAGS - LANDMARK_TAGS, set()):
+            assert TextExtractor(skip_tags).read(page) == html_parser_lines(page, skip_tags)
+        try:
+            text = extract_text(page.encode(), "text/html")
+        except EmptyAfterExtraction:
+            text = ""
+        assert text == html_parser_text(page)
+
+    @pytest.mark.parametrize("raw, expected", [
+        # a comment ends as the WHATWG tokenizer ends it
+        (b"<p>A<!-->B</p>", "A B"),
+        (b"<p>A<!--->B</p>", "A B"),
+        (b"<p>A<!-- x --!>B</p><p>C</p>", "A B\nC"),
+        (b"<p>A<!-- x -- >B</p><p>C --></p>", "A"),
+        # a "<" that opens no markup is text where it stands
+        (b"<p>3<5 and 7<=8</p>", "3<5 and 7<=8"),
+        # script text ends at "</script" followed by whitespace, "/" or ">"
+        (b"<script>a</ script>b</script><p>After.</p>", "After."),
+        (b"<script>a</script foo>b<p>After.</p>", "b\nAfter."),
+        (b"<script>a</script/>b<p>After.</p>", "b\nAfter."),
+        # a quote left open in a tag drops the rest of the page
+        (b'<p>Before.</p><a href="x>text</a><p>After.</p>', "Before."),
+        (b'<p>Before.</p></a title="x>text<p>After.</p>', "Before."),
+        # an end tag is "</" and a letter, and reads quoted values as a start tag does
+        (b"<p>Before.</p><p>A</ p>B</p>", "Before.\nA B"),
+        (b'<p>A</p foo="a>b">B</p>', "A\nB"),
+        # outside SVG and MathML a CDATA section is a comment up to ">"
+        (b"<p>A<![CDATA[x>y]]>B</p>", "A y]]>B"),
+        # NUL is part of a tag name
+        (b"<p>A<b\x00>B</b\x00></p>", "A B"),
+    ])
+    def test_constructs_outside_the_grammar_follow_whatwg(self, raw, expected):
+        assert extract_text(raw, "text/html") == expected
+
+    @pytest.mark.parametrize("repeat, count", [
+        ("<a ", 50_000), ('<a "', 50_000), ("<!--", 50_000), ("</a", 50_000),
+        # Unclosed <p> stay on the stack of open elements, which makes them
+        # quadratic in the extractor, so fewer of them.
+        ("<p>x", 5_000),
+    ])
+    def test_hostile_markup_is_read_in_one_pass(self, repeat, count):
+        """A tokenizer that matched a "<" again after a failed match would
+        take minutes on the first four; each ends the scan at its first "<"."""
+        page = "<p>Text here.</p>" + repeat * count
+        lines = ["x"] * count if repeat == "<p>x" else []
+        assert extract_text(page.encode(), "text/html") == "\n".join(["Text here.", *lines])
 
     def test_link_dominated_block_dropped(self):
         html = b'<div><a href="/a">Alpha</a> <a href="/b">Beta</a></div><p>Real content here.</p>'
