@@ -25,18 +25,19 @@ one place a regulation is named.
 Each side of a pattern keeps a *needle*: the longest run of ``[A-Za-z0-9_]``
 in its ASCII words, lowercased, and a prefix if the run ends a word ending in
 ``*`` ("notif*" gives the prefix "notif", "third-part*" gives "third"). A
-pattern runs only on *candidate sentences*, whose words (``\\w+`` runs of the
-``FOLD`` copy, :class:`~praf.readability.AnalyzedText`) hold every needle as a
-word or a word's start; one pass over a document's words finds them all. This
-is exact. The regex puts ``\\b`` or ``\\s+`` around each word, and the run is
-bounded by non-word characters inside its word, so a match holds it as a word
-(or a word's start, before ``\\w*``). ``FOLD`` keeps offsets, maps word
-characters and no others to word characters, and maps each character that
-``re.IGNORECASE`` equates with an ASCII character to that character. The
-empty needle, of a side with no ASCII word, is in every sentence. The regex
-runs with ``pos`` and ``endpos`` on the whole text, which reads like the
-sentence alone: the characters just outside a sentence are never word
-characters, so its words and ``\\b`` at its ends are the text's.
+pattern runs only on *candidate sentences*, whose words hold every needle as a
+word or a word's start. The document's word index
+(:attr:`~praf.readability.AnalyzedText.word_sentences`, built once per
+policy) maps each ``\\w+`` word of the ``FOLD``-ed text to its sentences, and
+a needle is read from it. This is exact. The regex puts ``\\b`` or ``\\s+``
+around each word, and the run is bounded by non-word characters inside its
+word, so a match holds it as a word (or a word's start, before ``\\w*``).
+``FOLD`` maps word characters and no others to word characters, and maps
+each character that ``re.IGNORECASE`` equates with an ASCII character to
+that character. The empty needle, of a side with no ASCII word, is in every
+sentence. The regex runs with ``pos`` and ``endpos`` on the whole text, which
+reads like the sentence alone: the characters just outside a sentence are
+never word characters, so its words and ``\\b`` at its ends are the text's.
 
 For the language detectors, ``ambiguous_language.strong`` holds the hedge
 terms and ``vague_commitments`` uses ``strong`` for generic assurances with
@@ -52,7 +53,6 @@ reports and verification all read these two tables.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -272,59 +272,11 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
-# ASCII bytes but [A-Za-z0-9_] map to a space; the bytes of non-ASCII
-# characters are 0x80 or above and stay, so the mapped text keeps offsets.
-_NON_WORD = bytes.maketrans(bytes(range(128)), bytes(
-    c if chr(c).isalnum() or chr(c) == "_" else ord(" ") for c in range(128)))
-
-
-def _sentence_words(doc: AnalyzedText) -> list[list[str]]:
-    """The ``\\w+`` words of each sentence of the folded text: an ASCII
-    sentence's are its mapped chunks; in another, "’" and "©" are not word
-    characters but "é" is, so the regex finds them."""
-    mapped = doc.folded.encode("utf-8", "surrogatepass").translate(_NON_WORD)
-    mapped = mapped.decode("utf-8", "surrogatepass")
-    return [s.split() if s.isascii() else re.findall(r"\w+", s)
-            for s in (mapped[a:b] for a, b in doc.sentence_spans)]
-
-
-def _word_index(doc: AnalyzedText,
-                patterns: Iterable[CompiledPattern]) -> Mapping[Needle, Sequence[int]]:
-    """``doc``'s memo of the sentences, in text order, whose words hold each
-    needle, once one pass over the words has added those of ``patterns``."""
-    index = doc.needle_sentences
-    missing = {n for p in patterns for n in p.needles if n not in index}
-    if not missing:
-        return index
-    words = _sentence_words(doc)
-    vocabulary = set().union(*words)
-    # each word of the document that holds a needle, with the needles it holds
-    by_word = {n.word: [n] for n in missing if not n.prefix and n.word in vocabulary}
-    if prefixes := [n for n in missing if n.prefix]:
-        ordered = sorted(vocabulary)
-        for needle in prefixes:
-            i = bisect_left(ordered, needle.word)
-            while i < len(ordered) and ordered[i].startswith(needle.word):
-                by_word.setdefault(ordered[i], []).append(needle)
-                i += 1
-    found = {n: [] if n.word else range(len(words)) for n in missing}
-    for k, sentence in enumerate(words):
-        for word in by_word.keys() & sentence:
-            for needle in by_word[word]:
-                if not found[needle] or found[needle][-1] != k:  # once per sentence
-                    found[needle].append(k)
-    index.update(found)
-    return index
-
-
 def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText,
                          within: Container[int] | None = None) -> Sequence[int]:
     """Indices, in text order, of the sentences (of ``within``, if given)
     whose words hold every needle of the pattern: no other can match it."""
-    index = doc.needle_sentences
-    if not index.keys() >= set(pattern.needles):  # called alone: not indexed yet
-        index = _word_index(doc, [pattern])
-    first, *others = map(index.__getitem__, pattern.needles)
+    first, *others = (doc.sentences_with(*needle) for needle in pattern.needles)
     if not first or (not others and within is None):
         return first
     sets = [set(o) for o in others] + ([] if within is None else [within])
@@ -384,7 +336,6 @@ def _phrase_finding(doc: AnalyzedText, dim: DetectionDimension, rules: RuleSet) 
     hedged coverage (partial). A yes for retention carries the first duration
     (number and unit) in a sentence with a strong retention match."""
     dr = rules.rules_for(dim)
-    _word_index(doc, dr.strong + dr.weak)
     for verdict, patterns in ((Verdict.YES, dr.strong), (Verdict.PARTIAL, dr.weak)):
         hits = [(k, span) for p in patterns for k, span in _evidence(p, doc)]
         if hits:
@@ -415,7 +366,6 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     if not sentences:
         raise NoSentences("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
-    _word_index(doc, dr.strong)
     partial_at, yes_at = dr.thresholds["partial_density"], dr.thresholds["yes_density"]
     spans = [EvidenceSpan(*sentences[k], rule_id)
              for k, rule_id in _first_rule_by_sentence(dr.strong, doc).items()]
@@ -433,7 +383,6 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     """Generic security assurances with no concrete mechanism in the same sentence."""
     doc = analyze(text)
     dr = rules.rules_for(DetectionDimension.VAGUE_COMMITMENTS)
-    _word_index(doc, dr.strong + dr.weak)
     yes_at = dr.thresholds["yes_sentences"]
     claims = _first_rule_by_sentence(dr.strong, doc)
     # A named safeguard in the same sentence defuses a claim.
@@ -448,7 +397,6 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
 def detect_all(text: str | AnalyzedText, rules: RuleSet) -> list[Finding]:
     """All thirteen findings in table column order, from one analysis of the text."""
     doc = analyze(text)
-    _word_index(doc, [p for dr in rules.by_dimension.values() for p in dr.strong + dr.weak])
     by_dim = {f.dimension: f for f in detect_regulations(doc, rules)}
     for dim in dimensions(kind="principle"):
         by_dim[dim] = detect_principle(doc, dim, rules)

@@ -18,7 +18,7 @@ from html import unescape
 from .ingest import _normalize_plain, _strip_control
 
 LANDMARK_TAGS = {"nav", "header", "footer", "aside"}
-SKIP_TAGS = {"script", "style", "noscript", "template", "head", *LANDMARK_TAGS}
+SKIP_TAGS = {"script", "style", "noscript", "template", "head", "title", *LANDMARK_TAGS}
 BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}

@@ -21,9 +21,11 @@ import functools
 import math
 import re
 import unicodedata
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import NonAlphabetic, NoSentences
 
@@ -210,10 +212,10 @@ def segment_sentences(text: str) -> list[str]:
     return [text[a:b] for a, b in sentence_spans(text)]
 
 
-# Case fold that keeps every offset: A-Z to a-z, plus the only other code
+# Case fold for an ASCII literal search: A-Z to a-z, plus the only other code
 # points that re.IGNORECASE equates with an ASCII letter. A character matches
 # an ASCII letter case-insensitively only if FOLD maps it to that letter, so a
-# lowercase ASCII literal absent from the folded text cannot be matched there.
+# lowercase ASCII literal absent from a text mapped by FOLD cannot match there.
 # tests/test_detect.py checks this over every code point of the running Python.
 FOLD = {
     **{c: c + 32 for c in range(ord("A"), ord("Z") + 1)},
@@ -223,23 +225,66 @@ FOLD = {
     0x212A: ord("k"),  # KELVIN SIGN
 }
 
+# FOLD on ASCII bytes, with each ASCII byte but [A-Za-z0-9_] a space. Mapped
+# as UTF-8 bytes, a text keeps every offset (a non-ASCII character's bytes are
+# 0x80 or above and stay) and, unlike with str.translate, is mapped fast even
+# when it holds one non-ASCII character.
+_FOLD_WORDS = bytes.maketrans(bytes(range(128)), bytes(
+    ord(chr(c).lower()) if chr(c).isalnum() or chr(c) == "_" else ord(" ") for c in range(128)))
+
 
 @dataclass(frozen=True)
 class AnalyzedText:
-    """A text with its sentence spans and its :data:`FOLD` copy, computed once."""
+    """A text with its sentence spans, computed once, and the index of its
+    words, built the first time it is read."""
 
     text: str
     sentence_spans: tuple[tuple[int, int], ...]
-    folded: str
-    # The sentences of each rule needle looked up so far (see detect._word_index).
-    needle_sentences: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @functools.cached_property
+    def word_sentences(self) -> dict[str, list[int]]:
+        """Each ``\\w+`` word of the :data:`FOLD`-ed text, with the indices,
+        in text order, of the sentences that hold it. An ASCII sentence's
+        words are the chunks of its mapped text; in another, "’" and "©" are
+        not word characters but "é" is, so the regex finds them."""
+        mapped = self.text.encode("utf-8", "surrogatepass").translate(_FOLD_WORDS)
+        mapped = mapped.decode("utf-8", "surrogatepass")
+        index: dict[str, list[int]] = {}
+        for k, (a, b) in enumerate(self.sentence_spans):
+            s = mapped[a:b]
+            for word in s.split() if s.isascii() else re.findall(r"\w+", s.translate(FOLD)):
+                sentences = index.get(word)
+                if sentences is None:
+                    index[word] = [k]
+                elif sentences[-1] != k:  # once per sentence
+                    sentences.append(k)
+        return index
+
+    @functools.cached_property
+    def vocabulary(self) -> list[str]:
+        """The words of :attr:`word_sentences`, sorted."""
+        return sorted(self.word_sentences)
+
+    def sentences_with(self, word: str, prefix: bool = False) -> Sequence[int]:
+        """Indices, in text order, of the sentences whose words hold ``word``
+        (lowercase ASCII), or with ``prefix`` a word that starts with it.
+        Every sentence holds the empty word."""
+        if not word:
+            return range(len(self.sentence_spans))
+        if not prefix:
+            return self.word_sentences.get(word, ())
+        vocabulary = self.vocabulary
+        i = j = bisect_left(vocabulary, word)
+        while j < len(vocabulary) and vocabulary[j].startswith(word):
+            j += 1
+        return sorted({k for w in vocabulary[i:j] for k in self.word_sentences[w]})
 
 
 def analyze(text: str | AnalyzedText) -> AnalyzedText:
-    """Segment and fold ``text``; an :class:`AnalyzedText` is returned as is."""
+    """Segment ``text``; an :class:`AnalyzedText` is returned as is."""
     if isinstance(text, AnalyzedText):
         return text
-    return AnalyzedText(text, tuple(sentence_spans(text)), text.translate(FOLD))
+    return AnalyzedText(text, tuple(sentence_spans(text)))
 
 
 # --- syllables --------------------------------------------------------------

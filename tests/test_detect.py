@@ -26,7 +26,6 @@ from praf.detect import (
     no_findings,
     _candidate_sentences,
     _evidence,
-    _sentence_words,
 )
 from praf.errors import MalformedRules, MissingFile, UnknownDimension, UnsupportedDimension
 from praf.readability import FOLD, analyze
@@ -431,11 +430,12 @@ class TestPrefilter:
     def test_analyze_passes_analyzed_text_through(self):
         doc = analyze(SAMPLE)
         assert analyze(doc) is doc
-        assert len(doc.folded) == len(doc.text)
 
     @pytest.mark.parametrize("text,dim,rule", [
         ("We follow H\u0130PAA rules.", Dim.HIPAA_MENTION, "hipaa_mention:0"),
         ("Transfers use \u017f\u017fl.", Dim.DATA_ENCRYPTION, "data_encryption:1"),
+        # a prefix needle ("retain") found only through FOLD, in a sentence with a "’"
+        ("Backups are RETA\u0130NED \u2019.", Dim.RETENTION_TIME, "retention_time:0"),
     ])
     def test_non_ascii_case_variants_still_match(self, rules, text, dim, rule):
         finding = {f.dimension: f for f in detect_all(text, rules)}[dim]
@@ -457,10 +457,30 @@ class TestPrefilter:
                      st.text(st.sampled_from("aZ09_ -.\n'\u2019\u00a0\u00a9\u00e9\u0130\ud800"))))
     def test_sentence_words_are_the_word_regex_matches(self, text):
         doc = analyze(text)
-        reference = [re.findall(r"\w+", doc.folded[a:b]) for a, b in doc.sentence_spans]
-        assert [set(words) for words in _sentence_words(doc)] == [set(r) for r in reference]
+        folded = text.translate(FOLD)
+        reference = [re.findall(r"\w+", folded[a:b]) for a, b in doc.sentence_spans]
+        assert doc.word_sentences == {
+            word: [k for k, words in enumerate(reference) if word in words]
+            for word in {w for words in reference for w in words}}
+        assert doc.vocabulary == sorted(doc.word_sentences)
         # no word of the whole text crosses a sentence boundary
-        assert [w for words in reference for w in words] == re.findall(r"\w+", doc.folded)
+        assert [w for words in reference for w in words] == re.findall(r"\w+", folded)
+
+    @settings(deadline=None)
+    @given(_RULE_TEXT)
+    def test_candidates_are_the_sentences_holding_every_needle(self, text):
+        doc = analyze(text)
+        words = [set(re.findall(r"\w+", text[a:b].translate(FOLD))) for a, b in doc.sentence_spans]
+
+        def holds(sentence, needle):
+            return any(w == needle.word or needle.prefix and w.startswith(needle.word)
+                       for w in sentence) or not needle.word
+
+        for pattern in _all_patterns(_RULES):
+            candidates = list(_candidate_sentences(pattern, doc))
+            assert all(j < k for j, k in zip(candidates, candidates[1:])), pattern.raw
+            assert candidates == [k for k, sentence in enumerate(words)
+                                  if all(holds(sentence, n) for n in pattern.needles)], pattern.raw
 
     @settings(deadline=None)
     @given(_RULE_TEXT)

@@ -360,6 +360,10 @@ class TestExtractText:
     def test_head_ends_where_the_tree_builder_ends_it(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
 
+    def test_a_title_outside_head_is_not_text(self):
+        raw = b"<p>Before.</p><title>A <b> B</title><p>After.</p>"
+        assert extract_text(raw, "text/html") == "Before.\nAfter."
+
     def test_a_control_character_in_a_tag_name_does_not_join_its_halves(self):
         out = extract_text(b"<p>Before.</p><scr\x00ipt>x()</script><p>After.</p>", "text/html")
         assert "x()" in out and out.startswith("Before.") and out.endswith("After.")
