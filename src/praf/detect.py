@@ -208,10 +208,7 @@ def _needle(phrase: str) -> Needle:
 
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
     sides = [side.strip() for side in raw.split("~")]
-    try:
-        regexes = tuple(map(_phrase_regex, sides))
-    except re.error as exc:
-        raise MalformedRules(f"pattern {raw!r} does not compile: {exc}") from exc
+    regexes = tuple(map(_phrase_regex, sides))
     regex, parts = (regexes[0], ()) if len(sides) == 1 else (None, regexes)
     return CompiledPattern(raw, rule_id, regex, parts, tuple(map(_needle, sides)))
 

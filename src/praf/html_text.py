@@ -4,15 +4,19 @@ does not depend on the Python version. At each ``<`` (``str.find``) one
 compiled pattern is matched, anchored: a tag, a comment, or ``<!…>``,
 ``<?…>`` or ``</…>`` read as a comment; any other ``<`` is text. Tags and
 comments end as in the WHATWG tokenizer (https://html.spec.whatwg.org/multipage/parsing.html#tokenization);
-as in ``html.parser``, only ``script`` and ``style`` hold raw text, up to
-their first end tag, and not when self-closing. A construct with no end
-before the end of the page (a tag, a quoted value, a comment or raw text) is
-markup cut off by a truncated download; it ends the scan, so no ``<`` is matched twice.
+``script`` and ``style`` hold raw text, and ``title`` text with its
+references decoded (RCDATA), each up to its first end tag and not when
+self-closing. A construct with no end before the end of the page (a tag, a
+quoted value, a comment or such text) is markup cut off by a truncated
+download; it ends the scan, so no ``<`` is matched twice. Open elements are
+counted as they are pushed and popped, so each token costs amortized
+constant work and a page is read in linear time, whatever it leaves open.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from html import unescape
 
 from .ingest import _normalize_plain, _strip_control
@@ -44,7 +48,9 @@ _MARKUP = re.compile(r"""<(?:
   | (?:!(?!--)|\?|/(?![a-zA-Z]))[^>]*>                              # read as a comment
   | (?=[^a-zA-Z/!?])                                                # text
 )""", re.S | re.X)
-_RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A) for t in ("script", "style")}
+# The end of the text of script and style (raw) and of title (references decoded).
+_RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A)
+                 for t in ("script", "style", "title")}
 
 
 class TextExtractor:
@@ -54,7 +60,9 @@ class TextExtractor:
     The stack of open elements alone decides whether text is skipped, link
     text or preformatted. Every element ends at its own end tag or, left open, at the end tag of
     any element that was open when it started, as in the HTML tree builder;
-    an end tag that matches no open element is ignored."""
+    an end tag that matches no open element is ignored. The open elements are
+    also counted by name, and those named in ``skip_tags`` in all, so no
+    token scans the stack."""
 
     def __init__(self, skip_tags: set[str]):
         self.skip_tags = skip_tags
@@ -62,16 +70,24 @@ class TextExtractor:
         self._parts: list[str] = []
         self._link_chars = 0
         self._open: list[str] = []  # the stack of open elements
+        self._count: defaultdict[str, int] = defaultdict(int)  # of each name on the stack
+        self._skipped = 0  # of the elements on the stack named in skip_tags
 
     def read(self, page: str) -> list[str]:
         """Tokenize the whole page into the handlers; returns ``lines``."""
         text_at, i = 0, page.find("<")  # text_at: the start of the text before i
-        while i >= 0 and (m := _MARKUP.match(page, i)):  # no match: markup cut off
-            if m.end() == i + 1:  # a "<" that opens nothing is text
+        while True:
+            m = i >= 0 and _MARKUP.match(page, i)  # no match: markup cut off
+            if m and m.end() == i + 1:  # a "<" that opens nothing is text
                 i = page.find("<", i + 1)
                 continue
-            if text_at < i:
-                self.handle_data(unescape(page[text_at:i]))
+            stop = i if i >= 0 else len(page)
+            # Skipped text is dropped unread, unless it may end an open head.
+            if text_at < stop and (not self._skipped or self._open[-1] == "head"):
+                data = page[text_at:stop]
+                self.handle_data(unescape(data) if "&" in data else data)
+            if not m:
+                break
             text_at = end = m.end()
             closing, name, self_closing = m.groups()
             tag = name and name.lower()  # None for a comment
@@ -81,18 +97,19 @@ class TextExtractor:
                 self.handle_starttag(tag)
                 if self_closing:  # a "/" right before the ">", not in a value
                     self.handle_endtag(tag)
-                elif tag in _RAW_TEXT_END:  # its text up to its end tag is one raw chunk
+                elif tag in _RAW_TEXT_END:  # its text up to its end tag is one chunk
                     raw_end = _RAW_TEXT_END[tag].search(page, end)
                     end_tag = raw_end and _MARKUP.match(page, raw_end.start())
                     if not end_tag:
-                        break  # cut off; i < text_at, so no text follows
-                    self.handle_data(page[end:raw_end.start()])
+                        break  # cut off; no text follows
+                    if not self._skipped:  # tag is on top, so it ends no head
+                        data = page[end:raw_end.start()]
+                        if tag == "title" and "&" in data:
+                            data = unescape(data)
+                        self.handle_data(data)
                     self.handle_endtag(tag)
                     text_at = end_tag.end()
             i = page.find("<", text_at)
-        stop = i if i >= 0 else len(page)
-        if text_at < stop:
-            self.handle_data(unescape(page[text_at:stop]))
         self._flush()
         return self.lines
 
@@ -105,36 +122,47 @@ class TextExtractor:
         self._link_chars = 0
         if not text:
             return
-        visible = len(text.replace(" ", ""))
+        visible = len(text) - text.count(" ")
         if visible and link_chars / visible > LINK_RATIO_LIMIT:
             return  # link-dominated boilerplate block
         self.lines.append(text)
 
+    def _pop(self) -> str:
+        tag = self._open.pop()
+        self._count[tag] -= 1
+        if tag in self.skip_tags:
+            self._skipped -= 1
+        return tag
+
     def handle_starttag(self, tag):
         if self._open and self._open[-1] == "head" and tag not in HEAD_CONTENT_TAGS:
-            self._open.pop()
+            self._pop()
         if tag not in UNSTACKED_TAGS:
             self._open.append(tag)
-        if self.skip_tags.isdisjoint(self._open) and (tag in BLOCK_TAGS or tag == "br"):
+            self._count[tag] += 1
+            if tag in self.skip_tags:
+                self._skipped += 1
+        if not self._skipped and (tag in BLOCK_TAGS or tag == "br"):
             self._flush()
 
     def handle_endtag(self, tag):
-        stack = self._open
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] == tag:
-                del stack[i:]  # the element and every element opened inside it
-                break
-        if tag in BLOCK_TAGS and self.skip_tags.isdisjoint(stack):
+        if self._count[tag]:
+            while self._pop() != tag:  # the element and every element opened inside it
+                pass
+        if tag in BLOCK_TAGS and not self._skipped:
             self._flush()
 
     def handle_data(self, data):
         if self._open and self._open[-1] == "head" and data.strip(" \t\n\r\f"):
-            self._open.pop()
-        if not data or not self.skip_tags.isdisjoint(self._open):
+            self._pop()
+        if not data or self._skipped:
             return
-        data = _strip_control(data)
-        if "pre" not in self._open:
-            data = data.replace("\n", " ")  # a wrapped line, as a browser renders it
+        if self._count["pre"]:
+            data = _strip_control(data)
+        elif data.isascii() and data.isspace():
+            return  # blanks: only ever a space, which _flush collapses
+        else:  # a wrapped line, as a browser renders it; _strip_control turns CR into a newline
+            data = _strip_control(data.replace("\n", " ")).replace("\n", " ")
         self._parts.append(data)
-        if "a" in self._open:
-            self._link_chars += len(data.replace(" ", "").replace("\n", ""))
+        if self._count["a"]:
+            self._link_chars += len(data) - data.count(" ") - data.count("\n")

@@ -4,6 +4,7 @@ what the program emits, kept out of the package because only tests use them."""
 import csv
 import io
 import json
+from html import unescape
 from html.parser import HTMLParser
 
 from praf.detect import DetectionDimension as Dim, Verdict
@@ -84,6 +85,9 @@ class HTMLParserExtractor(HTMLParser):
     Where praf's tokenizer follows WHATWG instead, the two differ; the
     pages of the differential property avoid those constructs."""
 
+    # title holds text with its references decoded (RCDATA), as in praf.
+    CDATA_CONTENT_ELEMENTS = (*HTMLParser.CDATA_CONTENT_ELEMENTS, "title")
+
     def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
         self.extractor = TextExtractor(skip_tags)
@@ -95,7 +99,7 @@ class HTMLParserExtractor(HTMLParser):
         self.extractor.handle_endtag(tag)
 
     def handle_data(self, data):
-        self.extractor.handle_data(data)
+        self.extractor.handle_data(unescape(data) if self.cdata_elem == "title" else data)
 
     def close(self):
         # Input left unparsed at the end that starts with "<" is markup cut

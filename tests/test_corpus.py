@@ -62,6 +62,24 @@ class TestCodebookModel:
             ),
         )
         assert cb.overrides_for("A1") == {Dim.DATA_ENCRYPTION: Verdict.YES}
+        # two apps' sets interleaved: each app merges only its own
+        cb = Codebook(
+            records=(AppRecord("A1", AppCategory.TELEHEALTH), AppRecord("A2", AppCategory.TELEHEALTH)),
+            annotations=(
+                AnnotationSet(app="A1", overrides={Dim.DATA_ENCRYPTION: Verdict.NO,
+                                                   Dim.BREACH_PROTOCOL: Verdict.NO}),
+                AnnotationSet(app="A2", overrides={Dim.DATA_ENCRYPTION: Verdict.PARTIAL}),
+                AnnotationSet(app="A1", overrides={Dim.DATA_ENCRYPTION: Verdict.YES}),
+                AnnotationSet(app="A2", overrides={Dim.HIPAA_MENTION: Verdict.YES}),
+            ),
+        )
+        assert cb.overrides_for("A1") == {Dim.DATA_ENCRYPTION: Verdict.YES,
+                                          Dim.BREACH_PROTOCOL: Verdict.NO}
+        assert cb.overrides_for("A2") == {Dim.DATA_ENCRYPTION: Verdict.PARTIAL,
+                                          Dim.HIPAA_MENTION: Verdict.YES}
+        # each call returns a new dict, so a caller's change stays its own
+        cb.overrides_for("A1").clear()
+        assert len(cb.overrides_for("A1")) == 2
 
 
 class TestAssignPseudonyms:

@@ -140,23 +140,46 @@ _ATTRIBUTE = st.tuples(st.sampled_from([" ", "\n"]), st.sampled_from(["href", "c
                        st.one_of(st.just(""), st.text("ab/", min_size=1, max_size=4).map("={}".format),
                                  st.text("ab/> '=", max_size=4).map('="{}"'.format),
                                  st.text('ab/> "=', max_size=4).map("='{}'".format))).map("".join)
-_TAG_NAMES = BLOCK_TAGS | SKIP_TAGS - {"script", "style"} | {"a", "b", "span", "br", "img",
-                                                              "html", "body", "head"}
+_TEXT_ELEMENTS = {"script", "style", "title"}  # elements whose content is one chunk of text
+_TAG_NAMES = BLOCK_TAGS | SKIP_TAGS - _TEXT_ELEMENTS | {"a", "b", "span", "br", "img", "html",
+                                                        "body", "head"}
 _START_TAG = st.tuples(st.just("<"), _any_case(_TAG_NAMES), st.lists(_ATTRIBUTE, max_size=3).map("".join),
                        st.sampled_from([">", "/>", " />", " >"])).map("".join)
 _END_TAG = st.tuples(st.just("</"), _any_case(_TAG_NAMES), st.sampled_from([">", " >"])).map("".join)
-_RAW_TEXT_ELEMENT = st.sampled_from(["script", "style"]).flatmap(lambda tag: st.tuples(
+_TEXT_ELEMENT = st.sampled_from(sorted(_TEXT_ELEMENTS)).flatmap(lambda tag: st.tuples(
     st.just("<"), _any_case({tag}), st.lists(_ATTRIBUTE, max_size=2).map("".join), st.just(">"),
     st.lists(st.sampled_from(["x = 1;", " ", "\n", "<", "</p>", "</scriptx", "</stylex", "&amp;",
-                              "if (a<b)"]), max_size=6).map("".join),
+                              "if (a<b)", "</titlex", "We", "<b>", "</div>", "&lt;", "&"]),
+             max_size=6).map("".join),
     st.just("</"), _any_case({tag}), st.sampled_from([">", " >"])).map("".join))
 _PAGE = st.tuples(st.lists(st.one_of(
-    _TEXT, _START_TAG, _END_TAG, _RAW_TEXT_ELEMENT,
+    _TEXT, _START_TAG, _END_TAG, _TEXT_ELEMENT,
     _TEXT.map("<!--{} -->".format),
     st.sampled_from(["<!DOCTYPE html>", "<!doctype html>", '<?xml version="1.0"?>',
                      "<script/>", "<STYLE />"])), max_size=20).map("".join),
     st.one_of(st.none(), st.integers(0, 400))).map(
     lambda page_cut: page_cut[0][:page_cut[1]])  # markup cut off at the end
+
+
+class CheckedExtractor(TextExtractor):
+    """Asserts after every handler call that the counts of open elements
+    equal a count of the stack."""
+
+    def _check(self):
+        assert {tag: n for tag, n in self._count.items() if n} == Counter(self._open)
+        assert self._skipped == sum(tag in self.skip_tags for tag in self._open)
+
+    def handle_starttag(self, tag):
+        super().handle_starttag(tag)
+        self._check()
+
+    def handle_endtag(self, tag):
+        super().handle_endtag(tag)
+        self._check()
+
+    def handle_data(self, data):
+        super().handle_data(data)
+        self._check()
 
 
 def _verdicts(text):
@@ -364,6 +387,12 @@ class TestExtractText:
         raw = b"<p>Before.</p><title>A <b> B</title><p>After.</p>"
         assert extract_text(raw, "text/html") == "Before.\nAfter."
 
+    def test_title_content_is_text_up_to_its_end_tag(self):
+        """An end tag inside a title is text (RCDATA): it closes nothing."""
+        assert extract_text(b"<div>X<title>A </div> B</title>Y</div>", "text/html") == "X Y"
+        lines = TextExtractor(set()).read("<p>X<title>A </p> &amp; <b>B</title>Y</p>")
+        assert lines == ["X A </p> & <b>B Y"]
+
     def test_a_control_character_in_a_tag_name_does_not_join_its_halves(self):
         out = extract_text(b"<p>Before.</p><scr\x00ipt>x()</script><p>After.</p>", "text/html")
         assert "x()" in out and out.startswith("Before.") and out.endswith("After.")
@@ -430,6 +459,15 @@ class TestExtractText:
             text = ""
         assert text == html_parser_text(page)
 
+    @settings(deadline=None)
+    @given(_PAGE)
+    def test_open_element_counts_equal_a_scan_of_the_stack(self, page):
+        """On pages that leave elements open and end ones that are not open,
+        the counts kept on push and pop equal a count of the stack after
+        every handler call."""
+        for skip_tags in (SKIP_TAGS, SKIP_TAGS - LANDMARK_TAGS, set()):
+            CheckedExtractor(skip_tags).read(page)
+
     @pytest.mark.parametrize("raw, expected", [
         # a comment ends as the WHATWG tokenizer ends it
         (b"<p>A<!-->B</p>", "A B"),
@@ -458,15 +496,15 @@ class TestExtractText:
 
     @pytest.mark.parametrize("repeat, count", [
         ("<a ", 50_000), ('<a "', 50_000), ("<!--", 50_000), ("</a", 50_000),
-        # Unclosed <p> stay on the stack of open elements, which makes them
-        # quadratic in the extractor, so fewer of them.
-        ("<p>x", 5_000),
+        ("<p>x", 50_000), ("<p>x</span>", 50_000),
     ])
     def test_hostile_markup_is_read_in_one_pass(self, repeat, count):
         """A tokenizer that matched a "<" again after a failed match would
-        take minutes on the first four; each ends the scan at its first "<"."""
+        take minutes on the first four; each ends the scan at its first "<".
+        An extractor that scanned its stack of open elements per token would
+        take tens of seconds on the last two, which leave every <p> open."""
         page = "<p>Text here.</p>" + repeat * count
-        lines = ["x"] * count if repeat == "<p>x" else []
+        lines = ["x"] * count if repeat.startswith("<p>") else []
         assert extract_text(page.encode(), "text/html") == "\n".join(["Text here.", *lines])
 
     def test_link_dominated_block_dropped(self):
