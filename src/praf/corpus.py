@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import unquote, urlsplit
@@ -90,17 +89,13 @@ class Codebook:
             if ann.app not in seen:
                 raise MalformedCodebook(f"annotation references unknown app {ann.app!r}")
 
-    @cached_property
-    def _merged_overrides(self) -> dict[str, dict[DetectionDimension, Verdict]]:
-        merged: dict[str, dict[DetectionDimension, Verdict]] = {}
-        for ann in self.annotations:
-            merged.setdefault(ann.app, {}).update(ann.overrides)
-        return merged
-
     def overrides_for(self, pseudonym: str) -> dict[DetectionDimension, Verdict]:
-        """Merged overrides for one app, in a new dict; later annotation sets
-        win per dimension. The sets are merged once per codebook."""
-        return dict(self._merged_overrides.get(pseudonym, {}))
+        """Merged overrides for one app; later annotation sets win per dimension."""
+        merged: dict[DetectionDimension, Verdict] = {}
+        for ann in self.annotations:
+            if ann.app == pseudonym:
+                merged.update(ann.overrides)
+        return merged
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,7 @@ class TextExtractor:
             stop = i if i >= 0 else len(page)
             # Skipped text is dropped unread, unless it may end an open head.
             if text_at < stop and (not self._skipped or self._open[-1] == "head"):
-                data = page[text_at:stop]
-                self.handle_data(unescape(data) if "&" in data else data)
+                self.handle_data(unescape(page[text_at:stop]))
             if not m:
                 break
             text_at = end = m.end()
@@ -104,7 +103,7 @@ class TextExtractor:
                         break  # cut off; no text follows
                     if not self._skipped:  # tag is on top, so it ends no head
                         data = page[end:raw_end.start()]
-                        if tag == "title" and "&" in data:
+                        if tag == "title":
                             data = unescape(data)
                         self.handle_data(data)
                     self.handle_endtag(tag)
