@@ -11,16 +11,15 @@ case-insensitive phrases; a trailing ``*`` on a word matches any suffix
 within one sentence.
 
 Evidence is scoped to one sentence. :func:`_evidence` is the one place a
-pattern is matched: it runs the pattern on each sentence of the text by
-itself, so no match crosses a sentence boundary. A phrase yields every
-``finditer`` match inside a sentence; a proximity pattern yields, for each
-sentence where every side occurs, the span from the first side match to the
-last. The regulation and principle detectors keep these spans as evidence;
-the language detectors keep the sentences, each with the first rule in rule
-order that hits it; the retention duration is read from the sentences of the
-strong hits. No rule data lives in code: a span's rule id
-(``dimension:index``) names the pattern that matched, so the rules file is the
-one place a regulation is named.
+pattern is matched: it runs each side of the pattern on each sentence of the
+text by itself, so no match crosses a sentence boundary. Each rule gives at
+most one span per sentence: its first match or, for ``a ~ b``, the span
+covering the first match of each part. The regulation and principle
+detectors keep these spans as evidence; the language detectors keep the
+sentences, each with the first rule in rule order that hits it; the retention
+duration is read from the sentences of the strong hits. No rule data lives in
+code: a span's rule id (``dimension:index``) names the pattern that matched,
+so the rules file is the one place a regulation is named.
 
 Each side of a pattern keeps a *needle*: the longest run of ``[A-Za-z0-9_]``
 in its ASCII words, lowercased, and a prefix if the run ends a word ending in
@@ -56,7 +55,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (NUMBER, MalformedRules, NoSentences, UnknownDimension, UnsupportedDimension,
                      read_json)
@@ -169,48 +168,39 @@ class Finding:
                 raise ValueError(f"{self.dimension.value}: positive verdict without evidence")
 
 
-class Needle(NamedTuple):
-    """A word that every match of a pattern side holds, or the start of one."""
+class Side(NamedTuple):
+    """One ``~`` part of a pattern: its regex, and its needle, a word that
+    every match holds (or, with ``prefix``, the start of one)."""
 
+    regex: re.Pattern
     word: str
-    prefix: bool = False
+    prefix: bool
 
 
 @dataclass(frozen=True)
 class CompiledPattern:
     raw: str
     rule_id: str
-    regex: re.Pattern | None            # plain phrase
-    parts: tuple[re.Pattern, ...] = ()  # proximity sub-patterns (all in one sentence)
-    needles: tuple[Needle, ...] = ()    # one per side
+    sides: tuple[Side, ...]  # all must match in one sentence
 
 
-def _phrase_regex(phrase: str) -> re.Pattern:
+def _side(phrase: str) -> Side:
+    """The phrase's regex, with the first longest ``[A-Za-z0-9_]`` run of its
+    ASCII words, lowercased, as its needle: a prefix when it ends a word
+    ending in ``*``; empty when there is no such run."""
     words = phrase.split()
     if not words:
         raise MalformedRules(f"empty pattern {phrase!r}")
-    pieces = []
-    for w in words:
-        if w.endswith("*"):
-            pieces.append(re.escape(w[:-1]) + r"\w*")
-        else:
-            pieces.append(re.escape(w))
-    return re.compile(r"\b" + r"\s+".join(pieces) + r"\b", re.IGNORECASE)
-
-
-def _needle(phrase: str) -> Needle:
-    """The first longest ``[A-Za-z0-9_]`` run of the phrase's ASCII words,
-    lowercased; a prefix when it ends a word ending in ``*``; else empty."""
-    runs = [Needle(m[0].lower(), w.endswith("*") and m.end() == len(w) - 1)
-            for w in phrase.split() if w.isascii() for m in re.finditer(r"\w+", w)]
-    return max(runs, key=lambda n: len(n.word), default=Needle(""))
+    pieces = [re.escape(w[:-1]) + r"\w*" if w.endswith("*") else re.escape(w) for w in words]
+    regex = re.compile(r"\b" + r"\s+".join(pieces) + r"\b", re.IGNORECASE)
+    runs = [(m[0].lower(), w.endswith("*") and m.end() == len(w) - 1)
+            for w in words if w.isascii() for m in re.finditer(r"\w+", w)]
+    word, prefix = max(runs, key=lambda run: len(run[0]), default=("", False))
+    return Side(regex, word, prefix)
 
 
 def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
-    sides = [side.strip() for side in raw.split("~")]
-    regexes = tuple(map(_phrase_regex, sides))
-    regex, parts = (regexes[0], ()) if len(sides) == 1 else (None, regexes)
-    return CompiledPattern(raw, rule_id, regex, parts, tuple(map(_needle, sides)))
+    return CompiledPattern(raw, rule_id, tuple(_side(part.strip()) for part in raw.split("~")))
 
 
 @dataclass(frozen=True)
@@ -269,34 +259,27 @@ def default_rules_path() -> Path:
     return Path(__file__).parent / "data" / "rules.json"
 
 
-def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText,
-                         within: Container[int] | None = None) -> Sequence[int]:
-    """Indices, in text order, of the sentences (of ``within``, if given)
-    whose words hold every needle of the pattern: no other can match it."""
-    first, *others = (doc.sentences_with(*needle) for needle in pattern.needles)
-    if not first or (not others and within is None):
+def _candidate_sentences(pattern: CompiledPattern, doc: AnalyzedText) -> Sequence[int]:
+    """Indices, in text order, of the sentences whose words hold the needle
+    of every side of the pattern: no other can match it."""
+    first, *others = (doc.sentences_with(side.word, side.prefix) for side in pattern.sides)
+    if not first or not others:
         return first
-    sets = [set(o) for o in others] + ([] if within is None else [within])
+    sets = [set(o) for o in others]
     return [k for k in first if all(k in s for s in sets)]
 
 
-def _evidence(pattern: CompiledPattern, doc: AnalyzedText,
-              within: Container[int] | None = None) -> Iterator[tuple[int, EvidenceSpan]]:
-    """Each evidence span of one pattern in the sentences (of ``within``, if
-    given), in text order, with the index of its sentence: every match of a
-    phrase, and for a proximity pattern the span covering the first match of
-    each side."""
+def _evidence(pattern: CompiledPattern, doc: AnalyzedText) -> Iterator[tuple[int, EvidenceSpan]]:
+    """The evidence of one pattern, in text order, with the index of its
+    sentence: in each sentence where every side matches, the span from the
+    earliest start to the latest end of each side's first match."""
     text, spans, rule_id = doc.text, doc.sentence_spans, pattern.rule_id
-    for k in _candidate_sentences(pattern, doc, within):
+    for k in _candidate_sentences(pattern, doc):
         a, b = spans[k]
-        if pattern.regex is not None:
-            for m in pattern.regex.finditer(text, a, b):
-                yield k, EvidenceSpan(m.start(), m.end(), rule_id)
-        else:
-            sides = [p.search(text, a, b) for p in pattern.parts]
-            if all(sides):
-                yield k, EvidenceSpan(min(m.start() for m in sides),
-                                      max(m.end() for m in sides), rule_id)
+        matches = [side.regex.search(text, a, b) for side in pattern.sides]
+        if all(matches):
+            yield k, EvidenceSpan(min(m.start() for m in matches),
+                                  max(m.end() for m in matches), rule_id)
 
 
 def _first_rule_by_sentence(patterns: tuple[CompiledPattern, ...],
@@ -383,7 +366,7 @@ def detect_vague_commitments(text: str | AnalyzedText, rules: RuleSet) -> Findin
     yes_at = dr.thresholds["yes_sentences"]
     claims = _first_rule_by_sentence(dr.strong, doc)
     # A named safeguard in the same sentence defuses a claim.
-    defused = {k for p in dr.weak for k, _ in _evidence(p, doc, within=claims)}
+    defused = {k for p in dr.weak for k, _ in _evidence(p, doc) if k in claims}
     spans = [EvidenceSpan(*doc.sentence_spans[k], rule_id)
              for k, rule_id in claims.items() if k not in defused]
     detail = {"vague_sentences": len(spans)}

@@ -4,13 +4,15 @@ does not depend on the Python version. At each ``<`` (``str.find``) one
 compiled pattern is matched, anchored: a tag, a comment, or ``<!…>``,
 ``<?…>`` or ``</…>`` read as a comment; any other ``<`` is text. Tags and
 comments end as in the WHATWG tokenizer (https://html.spec.whatwg.org/multipage/parsing.html#tokenization);
-``script`` and ``style`` hold raw text, and ``title`` text with its
-references decoded (RCDATA), each up to its first end tag and not when
-self-closing. A construct with no end before the end of the page (a tag, a
-quoted value, a comment or such text) is markup cut off by a truncated
-download; it ends the scan, so no ``<`` is matched twice. Open elements are
-counted as they are pushed and popped, so each token costs amortized
-constant work and a page is read in linear time, whatever it leaves open.
+``script``, ``style``, ``title``, ``iframe``, ``noembed`` and ``noframes``
+hold raw text, never text, up to their first end tag (none when
+self-closing); after ``<!--`` in a script, a ``<script`` tag makes the next
+``</script`` not end it (the script data escape states). A construct with no
+end before the end of the page (a tag, a quoted value, a comment or raw text)
+is markup cut off by a truncated download; it ends the scan, so no ``<`` is
+matched twice. Open elements are counted as they are pushed and popped, so
+each token costs amortized constant work and a page is read in linear time,
+whatever it leaves open.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from html import unescape
 from .ingest import _normalize_plain, _strip_control
 
 LANDMARK_TAGS = {"nav", "header", "footer", "aside"}
-SKIP_TAGS = {"script", "style", "noscript", "template", "head", "title", *LANDMARK_TAGS}
+SKIP_TAGS = {"noscript", "template", "head", *LANDMARK_TAGS}
 BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
@@ -48,9 +50,25 @@ _MARKUP = re.compile(r"""<(?:
   | (?:!(?!--)|\?|/(?![a-zA-Z]))[^>]*>                              # read as a comment
   | (?=[^a-zA-Z/!?])                                                # text
 )""", re.S | re.X)
-# The end of the text of script and style (raw) and of title (references decoded).
+# The end of an element's raw text, which is never text.
 _RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A)
-                 for t in ("script", "style", "title")}
+                 for t in ("script", "style", "title", "iframe", "noembed", "noframes")}
+# For each WHATWG script data state, the state that "<!" before "--", "-->",
+# "<script" or "</script" leads to, by its first two characters; None ends it.
+_SCRIPT_TOKEN = re.compile(r"<!(?=--)|-->|</?script(?=[\t\n\r\f />])", re.I | re.A)
+_SCRIPT_STEP = {"data": {"<!": "escaped", "</": None},
+                "escaped": {"--": "data", "</": None, "<s": "double escaped"},
+                "double escaped": {"--": "data", "</": "escaped"}}
+
+
+def _script_end(page: str, i: int) -> int:
+    """Where script text with "<!--" at ``i`` ends: its end tag, or the page's end."""
+    state = "data"
+    for m in _SCRIPT_TOKEN.finditer(page, i):
+        state = _SCRIPT_STEP[state].get(m[0][:2].lower(), state)
+        if state is None:
+            return m.start()
+    return len(page)
 
 
 class TextExtractor:
@@ -87,7 +105,7 @@ class TextExtractor:
                 self.handle_data(unescape(page[text_at:stop]))
             if not m:
                 break
-            text_at = end = m.end()
+            text_at = m.end()
             closing, name, self_closing = m.groups()
             tag = name and name.lower()  # None for a comment
             if closing:
@@ -96,16 +114,14 @@ class TextExtractor:
                 self.handle_starttag(tag)
                 if self_closing:  # a "/" right before the ">", not in a value
                     self.handle_endtag(tag)
-                elif tag in _RAW_TEXT_END:  # its text up to its end tag is one chunk
-                    raw_end = _RAW_TEXT_END[tag].search(page, end)
-                    end_tag = raw_end and _MARKUP.match(page, raw_end.start())
+                elif tag in _RAW_TEXT_END:  # its text, up to its end tag, is dropped
+                    raw_end = _RAW_TEXT_END[tag].search(page, text_at)
+                    at = raw_end.start() if raw_end else len(page)
+                    if tag == "script" and (comment_at := page.find("<!--", text_at, at)) >= 0:
+                        at = _script_end(page, comment_at)
+                    end_tag = _MARKUP.match(page, at)
                     if not end_tag:
                         break  # cut off; no text follows
-                    if not self._skipped:  # tag is on top, so it ends no head
-                        data = page[end:raw_end.start()]
-                        if tag == "title":
-                            data = unescape(data)
-                        self.handle_data(data)
                     self.handle_endtag(tag)
                     text_at = end_tag.end()
             i = page.find("<", text_at)

@@ -25,11 +25,12 @@ def reference():
 
 
 # CI runs some properties once more under this profile: the CLI fuzz property
-# of test_cli.py, the per-sentence finditer and language references, the
-# prefilter independence and candidate superset properties of test_detect.py,
-# the two whitespace invariance properties of test_readability.py, the rubric
-# table property of test_score.py, and the unclosed <a>/<pre> property, the
-# html.parser differential property and the open element count property of
+# of test_cli.py, the per-sentence search and language references, the
+# one-span-per-sentence property, the prefilter independence and candidate
+# superset properties of test_detect.py, the two whitespace invariance
+# properties of test_readability.py, the rubric table property of
+# test_score.py, and the unclosed <a>/<pre> property, the html.parser
+# differential property and the open element count property of
 # test_ingest.py. These state no max_examples of their own, so the tier-1 run
 # keeps Hypothesis's default number of examples.
 settings.register_profile("ci", max_examples=1000)

@@ -4,7 +4,6 @@ what the program emits, kept out of the package because only tests use them."""
 import csv
 import io
 import json
-from html import unescape
 from html.parser import HTMLParser
 
 from praf.detect import DetectionDimension as Dim, Verdict
@@ -14,11 +13,9 @@ from praf.score import ELEMENTS
 
 
 def matches_in(pattern, text: str) -> bool:
-    """True when a compiled rule pattern matches somewhere in the text: the
-    phrase, or every side of a proximity pattern."""
-    if pattern.regex is not None:
-        return pattern.regex.search(text) is not None
-    return all(p.search(text) for p in pattern.parts)
+    """True when every side of a compiled rule pattern matches somewhere in
+    the text."""
+    return all(side.regex.search(text) for side in pattern.sides)
 
 
 def words(text: str) -> list[str]:
@@ -85,8 +82,9 @@ class HTMLParserExtractor(HTMLParser):
     Where praf's tokenizer follows WHATWG instead, the two differ; the
     pages of the differential property avoid those constructs."""
 
-    # title holds text with its references decoded (RCDATA), as in praf.
-    CDATA_CONTENT_ELEMENTS = (*HTMLParser.CDATA_CONTENT_ELEMENTS, "title")
+    # The elements whose content praf reads as raw text and drops.
+    CDATA_CONTENT_ELEMENTS = (*HTMLParser.CDATA_CONTENT_ELEMENTS, "title", "iframe", "noembed",
+                              "noframes")
 
     def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
@@ -99,7 +97,8 @@ class HTMLParserExtractor(HTMLParser):
         self.extractor.handle_endtag(tag)
 
     def handle_data(self, data):
-        self.extractor.handle_data(unescape(data) if self.cdata_elem == "title" else data)
+        if self.cdata_elem is None:
+            self.extractor.handle_data(data)
 
     def close(self):
         # Input left unparsed at the end that starts with "<" is markup cut

@@ -11,7 +11,6 @@ from praf.detect import (
     DetectionDimension as Dim,
     EvidenceSpan,
     Finding,
-    Needle,
     RuleSet,
     Verdict,
     apply_overrides,
@@ -293,7 +292,8 @@ def _all_patterns(ruleset):
 def _without_prefilter(ruleset) -> RuleSet:
     """The same rules with empty needles, so every pattern runs on every sentence."""
     def strip(patterns):
-        return tuple(dataclasses.replace(p, needles=(Needle(""),) * len(p.needles))
+        return tuple(dataclasses.replace(p, sides=tuple(side._replace(word="", prefix=False)
+                                                        for side in p.sides))
                      for p in patterns)
     return RuleSet({dim: dataclasses.replace(dr, strong=strip(dr.strong), weak=strip(dr.weak))
                     for dim, dr in ruleset.by_dimension.items()})
@@ -349,15 +349,13 @@ _LANGUAGE_TEXT = st.lists(
 
 
 def _reference_spans(pattern, text):
-    """Evidence of one pattern from every sentence read alone: each finditer
-    match of a phrase in it, or the span covering the first match of every
-    side of a proximity pattern."""
+    """Evidence of one pattern from every sentence read alone: where each
+    side matches, the span covering the first match of every side, which for
+    a phrase is its first match."""
     spans = []
     for a, b in analyze(text).sentence_spans:
         segment = text[a:b]
-        if pattern.regex is not None:
-            spans += [(a + m.start(), a + m.end()) for m in pattern.regex.finditer(segment)]
-        elif all(sides := [p.search(segment) for p in pattern.parts]):
+        if all(sides := [side.regex.search(segment) for side in pattern.sides]):
             spans.append((a + min(m.start() for m in sides), a + max(m.end() for m in sides)))
     return spans
 
@@ -398,7 +396,7 @@ class TestPrefilter:
         ("r\u00e9sum\u00e9", [("", False)]),
     ])
     def test_needles_are_the_longest_literal_word_of_each_side(self, raw, needles):
-        assert compile_pattern(raw, "r:0").needles == tuple(Needle(*n) for n in needles)
+        assert [(side.word, side.prefix) for side in compile_pattern(raw, "r:0").sides] == needles
 
     @pytest.mark.parametrize("raw,text,spans", [
         # a hard wrap before a lowercase word stays inside the sentence
@@ -406,16 +404,19 @@ class TestPrefilter:
         # a capital after the newline starts a sentence: no match across it
         ("share your information", "We share your\nInformation.", []),
         ("encrypt*", "Backups are unencrypted.", []),
-        ("encrypt*", "unencrypted, encrypted and ENCRYPTS", [(13, 22), (27, 35)]),
+        # one span per sentence: its first match
+        ("encrypt*", "unencrypted, encrypted and ENCRYPTS. Encrypted, encrypted.",
+         [(13, 22), (37, 46)]),
         # the second "so-so" overlaps the first, which misses
         ("so-so answer", "a so-so-so answer", [(5, 17)]),
         # no ASCII needle: every sentence is a candidate
-        ("r\u00e9sum\u00e9 data", "R\u00c9SUM\u00c9 data; r\u00e9sum\u00e9s data, r\u00e9sum\u00e9\tdata",
-         [(0, 11), (27, 38)]),
+        ("r\u00e9sum\u00e9 data",
+         "R\u00c9SUM\u00c9 data; r\u00e9sum\u00e9s data, r\u00e9sum\u00e9\tdata. "
+         "R\u00e9sum\u00e9 data, r\u00e9sum\u00e9 data.", [(0, 11), (40, 51)]),
         ("data ~ encrypt*", "Data is encrypted. Data. Encrypted data, encrypted.",
          [(0, 17), (25, 39)]),
     ])
-    def test_evidence_is_what_finditer_finds_in_each_sentence(self, raw, text, spans):
+    def test_evidence_is_the_first_match_in_each_sentence(self, raw, text, spans):
         pattern = compile_pattern(raw, "r:0")
         assert _reference_spans(pattern, text) == spans
         assert [(s.start, s.end) for _, s in _evidence(pattern, analyze(text))] == spans
@@ -480,7 +481,7 @@ class TestPrefilter:
             candidates = list(_candidate_sentences(pattern, doc))
             assert all(j < k for j, k in zip(candidates, candidates[1:])), pattern.raw
             assert candidates == [k for k, sentence in enumerate(words)
-                                  if all(holds(sentence, n) for n in pattern.needles)], pattern.raw
+                                  if all(holds(sentence, side) for side in pattern.sides)], pattern.raw
 
     @settings(deadline=None)
     @given(_RULE_TEXT)
@@ -505,7 +506,7 @@ class TestPrefilter:
 
     @settings(deadline=None)
     @given(_RULE_TEXT)
-    def test_evidence_equals_a_per_sentence_finditer_reference(self, text):
+    def test_evidence_equals_a_per_sentence_search_reference(self, text):
         doc = analyze(text)
         for pattern in _all_patterns(_RULES):
             evidence = list(_evidence(pattern, doc))
@@ -517,6 +518,16 @@ class TestPrefilter:
 
 
 class TestEvidence:
+    @settings(deadline=None)
+    @given(_RULE_TEXT)
+    def test_a_rule_gives_at_most_one_span_per_sentence(self, text):
+        doc = analyze(text)
+        assume(doc.sentence_spans)
+        for finding in detect_all(doc, _RULES):
+            pairs = [(span.rule_id, k) for span in finding.evidence
+                     for k, (a, b) in enumerate(doc.sentence_spans) if a <= span.start < b]
+            assert len(pairs) == len(finding.evidence) == len(set(pairs)), finding.dimension
+
     @settings(max_examples=100, deadline=None)
     @given(_RULE_TEXT)
     def test_every_evidence_span_rematches_its_rule(self, text):
@@ -531,6 +542,6 @@ class TestEvidence:
                     assert (span.start, span.end) in doc.sentence_spans
                 else:
                     assert any(a <= span.start and span.end <= b for a, b in doc.sentence_spans)
-                    if pattern.regex is not None:
-                        assert pattern.regex.fullmatch(piece), (pattern.raw, piece)
+                    if len(pattern.sides) == 1:
+                        assert pattern.sides[0].regex.fullmatch(piece), (pattern.raw, piece)
                 assert matches_in(pattern, piece), (pattern.raw, piece)

@@ -140,16 +140,17 @@ _ATTRIBUTE = st.tuples(st.sampled_from([" ", "\n"]), st.sampled_from(["href", "c
                        st.one_of(st.just(""), st.text("ab/", min_size=1, max_size=4).map("={}".format),
                                  st.text("ab/> '=", max_size=4).map('="{}"'.format),
                                  st.text('ab/> "=', max_size=4).map("='{}'".format))).map("".join)
-_TEXT_ELEMENTS = {"script", "style", "title"}  # elements whose content is one chunk of text
-_TAG_NAMES = BLOCK_TAGS | SKIP_TAGS - _TEXT_ELEMENTS | {"a", "b", "span", "br", "img", "html",
-                                                        "body", "head"}
+# elements whose content is raw text
+_TEXT_ELEMENTS = {"script", "style", "title", "iframe", "noembed", "noframes"}
+_TAG_NAMES = BLOCK_TAGS | SKIP_TAGS | {"a", "b", "span", "br", "img", "html", "body", "head"}
 _START_TAG = st.tuples(st.just("<"), _any_case(_TAG_NAMES), st.lists(_ATTRIBUTE, max_size=3).map("".join),
                        st.sampled_from([">", "/>", " />", " >"])).map("".join)
 _END_TAG = st.tuples(st.just("</"), _any_case(_TAG_NAMES), st.sampled_from([">", " >"])).map("".join)
 _TEXT_ELEMENT = st.sampled_from(sorted(_TEXT_ELEMENTS)).flatmap(lambda tag: st.tuples(
     st.just("<"), _any_case({tag}), st.lists(_ATTRIBUTE, max_size=2).map("".join), st.just(">"),
     st.lists(st.sampled_from(["x = 1;", " ", "\n", "<", "</p>", "</scriptx", "</stylex", "&amp;",
-                              "if (a<b)", "</titlex", "We", "<b>", "</div>", "&lt;", "&"]),
+                              "if (a<b)", "</titlex", "We", "<b>", "</div>", "&lt;", "&",
+                              "</iframex"]),
              max_size=6).map("".join),
     st.just("</"), _any_case({tag}), st.sampled_from([">", " >"])).map("".join))
 _PAGE = st.tuples(st.lists(st.one_of(
@@ -387,11 +388,14 @@ class TestExtractText:
         raw = b"<p>Before.</p><title>A <b> B</title><p>After.</p>"
         assert extract_text(raw, "text/html") == "Before.\nAfter."
 
-    def test_title_content_is_text_up_to_its_end_tag(self):
-        """An end tag inside a title is text (RCDATA): it closes nothing."""
-        assert extract_text(b"<div>X<title>A </div> B</title>Y</div>", "text/html") == "X Y"
-        lines = TextExtractor(set()).read("<p>X<title>A </p> &amp; <b>B</title>Y</p>")
-        assert lines == ["X A </p> & <b>B Y"]
+    @pytest.mark.parametrize("tag", sorted(_TEXT_ELEMENTS))
+    def test_raw_text_is_dropped_up_to_its_end_tag(self, tag):
+        """An end tag inside raw text closes nothing, and with nothing
+        skipped the text is still not text."""
+        raw = f"<div>X<{tag}>A </div> B</{tag}>Y</div>"
+        assert extract_text(raw.encode(), "text/html") == "X Y"
+        lines = TextExtractor(set()).read(f"<p>X<{tag.upper()}>A </p> &amp; <b>B</{tag} >Y</p>")
+        assert lines == ["X Y"]
 
     def test_a_control_character_in_a_tag_name_does_not_join_its_halves(self):
         out = extract_text(b"<p>Before.</p><scr\x00ipt>x()</script><p>After.</p>", "text/html")
@@ -450,7 +454,7 @@ class TestExtractText:
     @given(_PAGE)
     def test_extraction_equals_the_html_parser_reference(self, page):
         """On pages of the grammar the tokenizer drives the handlers as
-        html.parser did; with nothing skipped, script text shows too."""
+        html.parser did, with the skip sets of extraction and none."""
         for skip_tags in (SKIP_TAGS, SKIP_TAGS - LANDMARK_TAGS, set()):
             assert TextExtractor(skip_tags).read(page) == html_parser_lines(page, skip_tags)
         try:
@@ -480,6 +484,17 @@ class TestExtractText:
         (b"<script>a</ script>b</script><p>After.</p>", "After."),
         (b"<script>a</script foo>b<p>After.</p>", "b\nAfter."),
         (b"<script>a</script/>b<p>After.</p>", "b\nAfter."),
+        # inside "<!--", a "<script" tag makes the next "</script" not end the script
+        (b'<p>Before.</p><script><!-- document.write("<script src=a.js></script>"); --></script>'
+         b"<p>After.</p>", "Before.\nAfter."),
+        (b"<SCRIPT><!-- <ScRiPt/> </sCrIpT\t> a --></Script >b<p>After.</p>", "b\nAfter."),
+        (b"<script><!--<script>-->a</script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!-- a </script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!--><script>a</script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!---><script>a</script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!-- <scripts> a </script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!- <script> a </script>b<p>After.</p>", "b\nAfter."),
+        (b"<p>Before.</p><script><!-- <script> a </script>", "Before."),
         # a quote left open in a tag drops the rest of the page
         (b'<p>Before.</p><a href="x>text</a><p>After.</p>', "Before."),
         (b'<p>Before.</p></a title="x>text<p>After.</p>', "Before."),
