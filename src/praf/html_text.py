@@ -50,9 +50,10 @@ _MARKUP = re.compile(r"""<(?:
   | (?:!(?!--)|\?|/(?![a-zA-Z]))[^>]*>                              # read as a comment
   | (?=[^a-zA-Z/!?])                                                # text
 )""", re.S | re.X)
-# The end of an element's raw text, which is never text.
+# The end of an element's raw text, which is never text; a script's ends in _raw_text_end.
 _RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A)
-                 for t in ("script", "style", "title", "iframe", "noembed", "noframes")}
+                 for t in ("style", "title", "iframe", "noembed", "noframes")}
+_RAW_TEXT_TAGS = {"script", *_RAW_TEXT_END}
 # For each WHATWG script data state, the state that "<!" before "--", "-->",
 # "<script" or "</script" leads to, by its first two characters; None ends it.
 _SCRIPT_TOKEN = re.compile(r"<!(?=--)|-->|</?script(?=[\t\n\r\f />])", re.I | re.A)
@@ -61,8 +62,11 @@ _SCRIPT_STEP = {"data": {"<!": "escaped", "</": None},
                 "double escaped": {"--": "data", "</": "escaped"}}
 
 
-def _script_end(page: str, i: int) -> int:
-    """Where script text with "<!--" at ``i`` ends: its end tag, or the page's end."""
+def _raw_text_end(page: str, i: int, tag: str) -> int:
+    """Where the raw text of a ``tag`` element from ``i`` ends: its end tag, or the page's end."""
+    if tag != "script":
+        m = _RAW_TEXT_END[tag].search(page, i)
+        return m.start() if m else len(page)
     state = "data"
     for m in _SCRIPT_TOKEN.finditer(page, i):
         state = _SCRIPT_STEP[state].get(m[0][:2].lower(), state)
@@ -114,12 +118,8 @@ class TextExtractor:
                 self.handle_starttag(tag)
                 if self_closing:  # a "/" right before the ">", not in a value
                     self.handle_endtag(tag)
-                elif tag in _RAW_TEXT_END:  # its text, up to its end tag, is dropped
-                    raw_end = _RAW_TEXT_END[tag].search(page, text_at)
-                    at = raw_end.start() if raw_end else len(page)
-                    if tag == "script" and (comment_at := page.find("<!--", text_at, at)) >= 0:
-                        at = _script_end(page, comment_at)
-                    end_tag = _MARKUP.match(page, at)
+                elif tag in _RAW_TEXT_TAGS:  # its text, up to its end tag, is dropped
+                    end_tag = _MARKUP.match(page, _raw_text_end(page, text_at, tag))
                     if not end_tag:
                         break  # cut off; no text follows
                     self.handle_endtag(tag)

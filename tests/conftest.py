@@ -30,7 +30,7 @@ def reference():
 # superset properties of test_detect.py, the two whitespace invariance
 # properties of test_readability.py, the rubric table property of
 # test_score.py, and the unclosed <a>/<pre> property, the html.parser
-# differential property and the open element count property of
-# test_ingest.py. These state no max_examples of their own, so the tier-1 run
-# keeps Hypothesis's default number of examples.
+# differential property, the open element count property and the WHATWG
+# script state property of test_ingest.py. These state no max_examples of
+# their own, so the tier-1 run keeps Hypothesis's default number of examples.
 settings.register_profile("ci", max_examples=1000)

@@ -130,3 +130,94 @@ def html_parser_text(page: str) -> str:
     its own tokenizer: landmarks dropped, or kept if that leaves no text."""
     lines = html_parser_lines(page, SKIP_TAGS) or html_parser_lines(page, SKIP_TAGS - LANDMARK_TAGS)
     return "\n".join(lines)
+
+
+_ASCII_ALPHA = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_TAG_NAME_END = frozenset("\t\n\r\f />")  # whitespace after input preprocessing, "/" and ">"
+
+
+def whatwg_script_end(page: str, i: int) -> int:
+    """The script data states of the WHATWG tokenizer, from "script data
+    state" to "script data double escape end state", transcribed one
+    character at a time: where script text that starts at ``i`` ends, the
+    "<" of its end tag, or ``len(page)`` when nothing ends it. The reference
+    for ``html_text._raw_text_end`` on a script. ``buffer`` is the temporary
+    buffer and the end tag's name; "script" is the appropriate end tag."""
+    state, buffer, tag_at = "data", "", i
+    while i < len(page):
+        c = page[i]
+        reconsume = None  # the state that reads c again
+        if state == "data":
+            if c == "<":
+                state, tag_at = "less-than", i
+        elif state == "less-than":
+            if c == "/":
+                state, buffer = "end tag open", ""
+            elif c == "!":
+                state = "escape start"
+            else:
+                reconsume = "data"
+        elif state in ("end tag open", "escaped end tag open"):
+            reconsume = (state.replace("open", "name") if c in _ASCII_ALPHA
+                         else "data" if state == "end tag open" else "escaped")
+        elif state in ("end tag name", "escaped end tag name"):
+            if c in _TAG_NAME_END and buffer == "script":
+                return tag_at
+            if c in _ASCII_ALPHA:
+                buffer += c.lower()
+            else:
+                reconsume = "data" if state == "end tag name" else "escaped"
+        elif state == "escape start":
+            if c == "-":
+                state = "escape start dash"
+            else:
+                reconsume = "data"
+        elif state == "escape start dash":
+            if c == "-":
+                state = "escaped dash dash"
+            else:
+                reconsume = "data"
+        elif state in ("escaped", "escaped dash", "escaped dash dash"):
+            if c == "-":
+                state = {"escaped": "escaped dash"}.get(state, "escaped dash dash")
+            elif c == "<":
+                state, tag_at = "escaped less-than", i
+            elif c == ">" and state == "escaped dash dash":
+                state = "data"
+            else:
+                state = "escaped"
+        elif state == "escaped less-than":
+            if c == "/":
+                state, buffer = "escaped end tag open", ""
+            elif c in _ASCII_ALPHA:
+                buffer, reconsume = "", "double escape start"
+            else:
+                reconsume = "escaped"
+        elif state in ("double escape start", "double escape end"):
+            if c in _TAG_NAME_END:
+                escapes = buffer == "script"
+                state = ("double escaped" if escapes else "escaped") \
+                    if state == "double escape start" else ("escaped" if escapes else "double escaped")
+            elif c in _ASCII_ALPHA:
+                buffer += c.lower()
+            else:
+                reconsume = "escaped" if state == "double escape start" else "double escaped"
+        elif state in ("double escaped", "double escaped dash", "double escaped dash dash"):
+            if c == "-":
+                state = {"double escaped": "double escaped dash"}.get(state, "double escaped dash dash")
+            elif c == "<":
+                state = "double escaped less-than"
+            elif c == ">" and state == "double escaped dash dash":
+                state = "data"
+            else:
+                state = "double escaped"
+        elif state == "double escaped less-than":
+            if c == "/":
+                state, buffer = "double escape end", ""
+            else:
+                reconsume = "double escaped"
+        if reconsume:
+            state = reconsume
+        else:
+            i += 1
+    return len(page)

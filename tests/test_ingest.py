@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import re
 import socket
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
 from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure, MalformedCodebook
-from praf.html_text import BLOCK_TAGS, LANDMARK_TAGS, SKIP_TAGS, TextExtractor
+from praf.html_text import BLOCK_TAGS, LANDMARK_TAGS, SKIP_TAGS, TextExtractor, _raw_text_end
 from praf.ingest import (
     DEFAULT_USER_AGENT,
     FetchFailure,
@@ -39,7 +40,7 @@ from praf.ingest import (
 from praf.pipeline import fetch_corpus
 from praf.readability import sentence_spans
 
-from oracles import html_parser_lines, html_parser_text
+from oracles import html_parser_lines, html_parser_text, whatwg_script_end
 
 DATA = Path(__file__).parent / "data"
 TS = datetime(2025, 1, 15, tzinfo=timezone.utc)
@@ -489,6 +490,7 @@ class TestExtractText:
          b"<p>After.</p>", "Before.\nAfter."),
         (b"<SCRIPT><!-- <ScRiPt/> </sCrIpT\t> a --></Script >b<p>After.</p>", "b\nAfter."),
         (b"<script><!--<script>-->a</script>b<p>After.</p>", "b\nAfter."),
+        (b"<script><!--<script>--><script></script>b<p>After.</p>", "b\nAfter."),
         (b"<script><!-- a </script>b<p>After.</p>", "b\nAfter."),
         (b"<script><!--><script>a</script>b<p>After.</p>", "b\nAfter."),
         (b"<script><!---><script>a</script>b<p>After.</p>", "b\nAfter."),
@@ -508,6 +510,30 @@ class TestExtractText:
     ])
     def test_constructs_outside_the_grammar_follow_whatwg(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
+
+    def test_script_text_ends_where_the_whatwg_script_states_end_it(self):
+        """Every script of five pieces that move between the script data
+        states ends where a character-by-character transcription of those
+        states ends it. Five pieces are the fewest that tell "-->" leaving
+        the double escape for plain script data from it leaving for the
+        escape."""
+        for pieces in itertools.product(["<!--", "<!-", "-->", "-", ">", "<Script>", "</SCRIPT\t>"],
+                                        repeat=5):
+            text = "".join(pieces)
+            assert _raw_text_end(text, 0, "script") == whatwg_script_end(text, 0), text
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["<!--", "<!-", "-->", "-", "<", ">", "x", "</\u017fcript>"]),
+        st.tuples(st.sampled_from(["<", "</"]), _any_case({"script"}),
+                  st.sampled_from([">", "/", "\t", "\n", "\r", "\f", " ", "s", "\x0b", ""])).map("".join)),
+        max_size=12).map("".join))
+    def test_script_tags_of_any_case_and_end_follow_the_whatwg_script_states(self, text):
+        """From wherever it starts, script text with tags of any case, any
+        character after the name and non-ASCII look-alikes ends where the
+        transcription of the WHATWG script data states ends it."""
+        for i in range(len(text) + 1):
+            assert _raw_text_end(text, i, "script") == whatwg_script_end(text, i)
 
     @pytest.mark.parametrize("repeat, count", [
         ("<a ", 50_000), ('<a "', 50_000), ("<!--", 50_000), ("</a", 50_000),
