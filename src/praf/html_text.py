@@ -4,15 +4,17 @@ does not depend on the Python version. At each ``<`` (``str.find``) one
 compiled pattern is matched, anchored: a tag, a comment, or ``<!…>``,
 ``<?…>`` or ``</…>`` read as a comment; any other ``<`` is text. Tags and
 comments end as in the WHATWG tokenizer (https://html.spec.whatwg.org/multipage/parsing.html#tokenization);
-``script``, ``style``, ``title``, ``iframe``, ``noembed`` and ``noframes``
-hold raw text, never text, up to their first end tag (none when
-self-closing); after ``<!--`` in a script, a ``<script`` tag makes the next
-``</script`` not end it (the script data escape states). A construct with no
-end before the end of the page (a tag, a quoted value, a comment or raw text)
-is markup cut off by a truncated download; it ends the scan, so no ``<`` is
-matched twice. Open elements are counted as they are pushed and popped, so
-each token costs amortized constant work and a page is read in linear time,
-whatever it leaves open.
+``script``, ``style``, ``title``, ``iframe``, ``noembed``, ``noframes``,
+``xmp`` and ``textarea`` hold raw text up to their first end tag (none when
+self-closing), and only that of ``xmp`` and ``textarea`` is text; after
+``<!--`` in a script, a ``<script`` tag makes the next ``</script`` not end
+it (the script data escape states). A construct with no end before the end
+of the page (a tag, a quoted value, a comment or raw text) is markup cut off
+by a truncated download; it ends the scan, so no ``<`` is matched twice, and
+only the raw text of an ``xmp`` or ``textarea`` up to there is kept.
+Open elements are counted as they are pushed and popped, so each token costs
+amortized constant work and a page is read in linear time, whatever it
+leaves open.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from html import unescape
 from .ingest import _normalize_plain, _strip_control
 
 LANDMARK_TAGS = {"nav", "header", "footer", "aside"}
-SKIP_TAGS = {"noscript", "template", "head", *LANDMARK_TAGS}
+SKIP_TAGS = {"noscript", "template", *LANDMARK_TAGS}
 BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
               "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
@@ -32,12 +34,9 @@ LINK_RATIO_LIMIT = 0.5
 # Elements kept off the stack of open elements: void elements never close,
 # and the tree builder never pops html or body at their end tags, so a
 # landmark directly under body runs to the end of the page.
-UNSTACKED_TAGS = {"area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta",
-                  "source", "track", "wbr", "html", "body"}
-# The elements head can hold; any other start tag, or text that is not
-# whitespace, ends an open head, as in the tree builder.
-HEAD_CONTENT_TAGS = {"base", "basefont", "bgsound", "link", "meta", "noframes", "noscript",
-                     "script", "style", "template", "title"}
+UNSTACKED_TAGS = {"area", "base", "basefont", "bgsound", "br", "col", "embed", "frame", "hr",
+                  "img", "input", "keygen", "link", "meta", "param", "source", "track", "wbr",
+                  "html", "body"}
 
 # Names and unquoted values match whole (the lookaheads): one reading, linear backtracking.
 _MARKUP = re.compile(r"""<(?:
@@ -50,26 +49,27 @@ _MARKUP = re.compile(r"""<(?:
   | (?:!(?!--)|\?|/(?![a-zA-Z]))[^>]*>                              # read as a comment
   | (?=[^a-zA-Z/!?])                                                # text
 )""", re.S | re.X)
-# The end of an element's raw text, which is never text; a script's ends in _raw_text_end.
-_RAW_TEXT_END = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A)
-                 for t in ("style", "title", "iframe", "noembed", "noframes")}
-_RAW_TEXT_TAGS = {"script", *_RAW_TEXT_END}
-# For each WHATWG script data state, the state that "<!" before "--", "-->",
-# "<script" or "</script" leads to, by its first two characters; None ends it.
-_SCRIPT_TOKEN = re.compile(r"<!(?=--)|-->|</?script(?=[\t\n\r\f />])", re.I | re.A)
-_SCRIPT_STEP = {"data": {"<!": "escaped", "</": None},
-                "escaped": {"--": "data", "</": None, "<s": "double escaped"},
-                "double escaped": {"--": "data", "</": "escaped"}}
+# For each raw-text element, the tokens that may end its raw text: its end
+# tag, and in a script "<!" before "--", "-->" and "<script".
+_RAW_TEXT = {t: re.compile(rf"</{t}(?=[\t\n\r\f />])", re.I | re.A)
+             for t in ("style", "title", "iframe", "noembed", "noframes", "xmp", "textarea")}
+_RAW_TEXT["script"] = re.compile(r"<!(?=--)|-->|</?script(?=[\t\n\r\f />])", re.I | re.A)
+# For each WHATWG script data state, the state that a token leads to, by its
+# first two characters; None ends the raw text. Outside a script every token
+# is "</" and ends it in the data state.
+_RAW_TEXT_STEP = {"data": {"<!": "escaped", "</": None},
+                  "escaped": {"--": "data", "</": None, "<s": "double escaped"},
+                  "double escaped": {"--": "data", "</": "escaped"}}
+# The raw text that is text, read from its source: only in a textarea are
+# character references decoded.
+_SHOWN_RAW_TEXT = {"xmp": str, "textarea": unescape}
 
 
 def _raw_text_end(page: str, i: int, tag: str) -> int:
     """Where the raw text of a ``tag`` element from ``i`` ends: its end tag, or the page's end."""
-    if tag != "script":
-        m = _RAW_TEXT_END[tag].search(page, i)
-        return m.start() if m else len(page)
     state = "data"
-    for m in _SCRIPT_TOKEN.finditer(page, i):
-        state = _SCRIPT_STEP[state].get(m[0][:2].lower(), state)
+    for m in _RAW_TEXT[tag].finditer(page, i):
+        state = _RAW_TEXT_STEP[state].get(m[0][:2].lower(), state)
         if state is None:
             return m.start()
     return len(page)
@@ -80,11 +80,11 @@ class TextExtractor:
     elements named in ``skip_tags``; read the decoded page with ``read``.
 
     The stack of open elements alone decides whether text is skipped, link
-    text or preformatted. Every element ends at its own end tag or, left open, at the end tag of
-    any element that was open when it started, as in the HTML tree builder;
-    an end tag that matches no open element is ignored. The open elements are
-    also counted by name, and those named in ``skip_tags`` in all, so no
-    token scans the stack."""
+    text or preformatted. Every element, ``head`` too, ends at its own end
+    tag or, left open, at the end tag of any element that was open when it
+    started, as in the HTML tree builder; an end tag that matches no open
+    element is ignored. The open elements are also counted by name, and those
+    named in ``skip_tags`` in all, so no token scans the stack."""
 
     def __init__(self, skip_tags: set[str]):
         self.skip_tags = skip_tags
@@ -104,8 +104,7 @@ class TextExtractor:
                 i = page.find("<", i + 1)
                 continue
             stop = i if i >= 0 else len(page)
-            # Skipped text is dropped unread, unless it may end an open head.
-            if text_at < stop and (not self._skipped or self._open[-1] == "head"):
+            if text_at < stop and not self._skipped:  # skipped text is dropped unread
                 self.handle_data(unescape(page[text_at:stop]))
             if not m:
                 break
@@ -118,8 +117,11 @@ class TextExtractor:
                 self.handle_starttag(tag)
                 if self_closing:  # a "/" right before the ">", not in a value
                     self.handle_endtag(tag)
-                elif tag in _RAW_TEXT_TAGS:  # its text, up to its end tag, is dropped
-                    end_tag = _MARKUP.match(page, _raw_text_end(page, text_at, tag))
+                elif tag in _RAW_TEXT:  # no markup up to its end tag
+                    at = _raw_text_end(page, text_at, tag)
+                    if tag in _SHOWN_RAW_TEXT and not self._skipped:
+                        self.handle_data(_SHOWN_RAW_TEXT[tag](page[text_at:at]))
+                    end_tag = _MARKUP.match(page, at)
                     if not end_tag:
                         break  # cut off; no text follows
                     self.handle_endtag(tag)
@@ -150,8 +152,6 @@ class TextExtractor:
         return tag
 
     def handle_starttag(self, tag):
-        if self._open and self._open[-1] == "head" and tag not in HEAD_CONTENT_TAGS:
-            self._pop()
         if tag not in UNSTACKED_TAGS:
             self._open.append(tag)
             self._count[tag] += 1
@@ -168,8 +168,6 @@ class TextExtractor:
             self._flush()
 
     def handle_data(self, data):
-        if self._open and self._open[-1] == "head" and data.strip(" \t\n\r\f"):
-            self._pop()
         if not data or self._skipped:
             return
         if self._count["pre"]:

@@ -418,6 +418,7 @@ _CACHE_ENTRIES = sorted((FIXTURES / "cache").glob("*.json"))
 
 
 # No max_examples here, so that the "ci" profile of conftest.py can raise it.
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(st.data())
 def test_one_bad_value_in_an_input_file_ends_in_a_stated_exit(data):

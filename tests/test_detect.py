@@ -443,6 +443,7 @@ class TestPrefilter:
         assert finding.verdict is Verdict.YES
         assert {e.rule_id for e in finding.evidence} == {rule}
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_a_sentence_that_matches_is_a_candidate(self, text):
@@ -453,6 +454,7 @@ class TestPrefilter:
                 if matches_in(pattern, text[a:b]):
                     assert k in candidates, (pattern.raw, text[a:b])
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(st.one_of(st.text(), st.text(st.characters(exclude_categories=())),
                      st.text(st.sampled_from("aZ09_ -.\n'\u2019\u00a0\u00a9\u00e9\u0130\ud800"))))
@@ -467,6 +469,7 @@ class TestPrefilter:
         # no word of the whole text crosses a sentence boundary
         assert [w for words in reference for w in words] == re.findall(r"\w+", folded)
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_candidates_are_the_sentences_holding_every_needle(self, text):
@@ -483,6 +486,7 @@ class TestPrefilter:
             assert candidates == [k for k, sentence in enumerate(words)
                                   if all(holds(sentence, side) for side in pattern.sides)], pattern.raw
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_findings_do_not_depend_on_analysis_or_prefilter(self, text):
@@ -491,6 +495,7 @@ class TestPrefilter:
         assert detect_all(analyze(text), _RULES) == findings
         assert detect_all(text, _without_prefilter(_RULES)) == findings
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(st.one_of(_RULE_TEXT, _LANGUAGE_TEXT))
     def test_language_detectors_equal_a_sentence_by_sentence_reference(self, text):
@@ -504,6 +509,7 @@ class TestPrefilter:
         vague = _reference_language_spans(text, vague_rules.strong, vague_rules.weak)
         assert list(detect_vague_commitments(text, _RULES).evidence) == vague
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_evidence_equals_a_per_sentence_search_reference(self, text):
@@ -518,6 +524,7 @@ class TestPrefilter:
 
 
 class TestEvidence:
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(_RULE_TEXT)
     def test_a_rule_gives_at_most_one_span_per_sentence(self, text):

@@ -370,6 +370,7 @@ class TestWhitespaceInvariance:
     def test_bundled_texts(self):
         assert len(_BUNDLED) == 27
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(st.sampled_from(_BUNDLED), st.lists(st.sampled_from(["\u00a0", "\u2009", "\u3000"]),
                                                min_size=1, max_size=5))
@@ -379,6 +380,7 @@ class TestWhitespaceInvariance:
         assert spaced != text
         assert _reading(spaced) == _reading(text)
 
+    @pytest.mark.ci_profile
     @settings(deadline=None)
     @given(st.sampled_from(_BUNDLED), st.integers(20, 100))
     @example(_BUNDLED[0], 72)

@@ -177,6 +177,7 @@ class TestScoreApp:
         closed = score_app("T0", findings, None)
         assert set(closed.elements().values()) == {0} and closed.overall == 0
 
+    @pytest.mark.ci_profile
     @given(st.fixed_dictionaries({dim: st.sampled_from(Verdict) for dim in Dim}),
            st.sampled_from([*ReadabilityBand, None]))
     def test_scores_equal_the_rubric_table(self, verdicts, band):
