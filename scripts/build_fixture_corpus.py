@@ -425,7 +425,7 @@ def main() -> None:
             continue
         verdicts = {dim: v.value for dim, v in codebook.overrides_for(app).items()}
         html = build_app_page(app, verdicts, row["smog"], row["level"])
-        doc = document_from_fetch(app, RawFetch(url=url, final_url=url, body=html.encode(),
+        doc = document_from_fetch(app, RawFetch(final_url=url, body=html.encode(),
                                                 content_type="text/html; charset=utf-8",
                                                 status=200), FETCHED_AT)
         cache_put(CACHE_DIR, url, doc)

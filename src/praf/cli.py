@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration or input
 error, 3 incomplete inputs (an app with neither a cached document nor
 complete annotations). Defaults point at the bundled reference fixtures so
-`praf audit` and `praf verify` work out of the box; timestamps appear only
-in the header line of markdown artifacts and in run.json.
+`praf audit` and `praf verify` work out of the box. Every audit writes one
+artifact set with one time, read once per run: the header line of each
+markdown artifact and run.json's generated_at, the only places a time appears.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write(path: Path, body: str, *, stamp: bool = False) -> None:
-    if stamp:
-        body = f"<!-- generated: {_timestamp()} -->\n" + body
+def _write(path: Path, body: str, generated_at: str) -> None:
+    if path.suffix == ".md":
+        body = f"<!-- generated: {generated_at} -->\n" + body
     atomic_write(path, body)
 
 
@@ -109,14 +110,11 @@ def fetch(codebook, cache, offline, jobs, respect_robots):
               show_default=True, help="Detection rule file.")
 @click.option("--out", type=click.Path(), default="praf-out", show_default=True,
               help="Output directory for report artifacts.")
-@click.option("--format", "formats", multiple=True,
-              type=click.Choice(["markdown", "csv", "json"]),
-              help="Matrix formats to emit (repeatable; default: all three).")
 @click.option("--jobs", type=int, default=None, hidden=True,
               help="Accepted for compatibility and ignored; audit runs serially.")
 @click.option("--reveal-names", is_flag=True,
               help="Include real app names in per-app reports (redacted by default).")
-def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
+def audit(codebook, cache, rules, out, jobs, reveal_names):
     """Score every app from cached policies + annotations and write reports."""
     cb = load_codebook(codebook)
     rules_path = Path(rules)
@@ -129,30 +127,26 @@ def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
     audits = result.audits
 
     out_dir = Path(out)
-    formats = tuple(formats) or ("markdown", "csv", "json")
-    ext = {"markdown": "md", "csv": "csv", "json": "json"}
-    for fmt in formats:
-        _write(out_dir / f"matrix.{ext[fmt]}", emit_matrix(audits, fmt),
-               stamp=(fmt == "markdown"))
+    generated_at = _timestamp()
+    _write(out_dir / "matrix.md", emit_matrix(audits, "markdown"), generated_at)
+    _write(out_dir / "matrix.csv", emit_matrix(audits, "csv"), generated_at)
+    _write(out_dir / "matrix.json", emit_matrix(audits, "json"), generated_at)
 
     if audits:
         summary = summarize(audits)
-        if "markdown" in formats:
-            _write(out_dir / "summary.md", emit_summary_markdown(summary), stamp=True)
-        _write(out_dir / "summary.json", summary_to_json(summary))
-    _write(out_dir / "smog.csv", emit_smog_csv(audits))
+        _write(out_dir / "summary.md", emit_summary_markdown(summary), generated_at)
+        _write(out_dir / "summary.json", summary_to_json(summary), generated_at)
+    _write(out_dir / "smog.csv", emit_smog_csv(audits), generated_at)
 
-    if "markdown" in formats:
-        for audit_item in audits:
-            body = emit_app_report(audit_item, reveal_names=reveal_names)
-            _write(out_dir / "apps" / f"{audit_item.record.pseudonym}.md", body, stamp=True)
+    for audit_item in audits:
+        body = emit_app_report(audit_item, reveal_names=reveal_names)
+        _write(out_dir / "apps" / f"{audit_item.record.pseudonym}.md", body, generated_at)
 
     run_meta = {
-        "generated_at": _timestamp(),
+        "generated_at": generated_at,
         "codebook": str(codebook),
         "cache": str(cache_dir),
         "rules": str(rules_path),
-        "formats": list(formats),
         "apps": [
             {
                 "app": a.record.pseudonym,
@@ -163,7 +157,7 @@ def audit(codebook, cache, rules, out, formats, jobs, reveal_names):
         ],
         "detector_agreement": result.agreement(),
     }
-    _write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n")
+    _write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n", generated_at)
     click.echo(f"audited {len(audits)} apps -> {out_dir}")
     agreement = run_meta["detector_agreement"]
     if agreement["rate"] is not None:

@@ -25,8 +25,8 @@ def check_shape(value, shape, error: type[PrafError], where: str, locator: str =
     A shape is a type or a tuple of types (``None`` for null; a bool is not
     a number, and a number must be finite), a set of allowed values, ``[s]``
     for an array of ``s``, a list of several shapes for an array of exactly
-    those, ``{str: s}`` for a map to ``s``, or a dict of field shapes for an
-    object of exactly those fields, where a name ending in ``?`` may be absent.
+    those, or a dict of field shapes for an object of exactly those fields,
+    where a name ending in ``?`` may be absent.
     """
     def fail(expected: str):
         raise error(f"{where}: expected {expected}, not {reprlib.repr(value)}", locator or None)
@@ -34,14 +34,13 @@ def check_shape(value, shape, error: type[PrafError], where: str, locator: str =
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             fail("an object")
-        fields = dict.fromkeys(value, shape[str]) if str in shape else shape
-        names = {name.removesuffix("?"): name for name in fields}
+        names = {name.removesuffix("?"): name for name in shape}
         for key in [*names, *(key for key in value if key not in names)]:
             at = f"{locator}.{key}" if locator else key
             if key not in names:
                 raise error(f"{where}: unknown field {key!r}", at)
             if key in value:
-                check_shape(value[key], fields[names[key]], error, where, at)
+                check_shape(value[key], shape[names[key]], error, where, at)
             elif key == names[key]:
                 raise error(f"{where}: missing field {key!r}", at)
     elif isinstance(shape, list):

@@ -29,7 +29,7 @@ LANDMARK_TAGS = {"nav", "header", "footer", "aside"}
 SKIP_TAGS = {"noscript", "template", *LANDMARK_TAGS}
 BLOCK_TAGS = {"p", "div", "section", "article", "main", "ul", "ol", "li", "table",
               "tr", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote",
-              "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr"}
+              "figure", "figcaption", "form", "pre", "dl", "dt", "dd", "hr", "br"}
 LINK_RATIO_LIMIT = 0.5
 # Elements kept off the stack of open elements: void elements never close,
 # and the tree builder never pops html or body at their end tags, so a
@@ -157,7 +157,7 @@ class TextExtractor:
             self._count[tag] += 1
             if tag in self.skip_tags:
                 self._skipped += 1
-        if not self._skipped and (tag in BLOCK_TAGS or tag == "br"):
+        if not self._skipped and tag in BLOCK_TAGS:
             self._flush()
 
     def handle_endtag(self, tag):

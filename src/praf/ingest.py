@@ -65,7 +65,6 @@ class PolicyDocument:
 
 @dataclass(frozen=True)
 class RawFetch:
-    url: str
     final_url: str
     body: bytes
     content_type: str
@@ -105,7 +104,7 @@ class UrllibTransport:
             return resp.status, resp.headers.get("Content-Type", ""), resp.read(), resp.url
 
 
-def robots_rules(robots_url: str, transport, timeout: float = DEFAULT_TIMEOUT):
+def robots_rules(robots_url: str, transport):
     """A predicate: may this agent request a URL that ``robots_url`` governs?
     A robots.txt that cannot be read, at the one request made, blocks nothing;
     a line that urllib cannot parse (``Disallow: //[``) is ignored."""
@@ -119,7 +118,7 @@ def robots_rules(robots_url: str, transport, timeout: float = DEFAULT_TIMEOUT):
         return True
 
     try:
-        status, _, body, _ = transport.get(robots_url, timeout)
+        status, _, body, _ = transport.get(robots_url, DEFAULT_TIMEOUT)
     except Exception:
         status = None
     if status != 200:
@@ -156,8 +155,8 @@ def fetch_policy(
             failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR, detail=str(exc))
             continue
         if 200 <= status < 300:
-            return RawFetch(url=url, final_url=str(final_url), body=body,
-                            content_type=content_type, status=status)
+            return RawFetch(final_url=str(final_url), body=body, content_type=content_type,
+                            status=status)
         failure = FetchFailure(url, InaccessibleReason.HTTP_ERROR, status=status)
         if not transient(failure.reason, status):
             break

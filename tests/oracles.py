@@ -4,6 +4,8 @@ what the program emits, kept out of the package because only tests use them."""
 import csv
 import io
 import json
+import re
+from html import unescape
 from html.parser import HTMLParser
 
 from praf.detect import DetectionDimension as Dim, Verdict
@@ -82,9 +84,10 @@ class HTMLParserExtractor(HTMLParser):
     Where praf's tokenizer follows WHATWG instead, the two differ; the
     pages of the differential property avoid those constructs."""
 
-    # The elements whose content praf reads as raw text and drops.
+    # The elements whose content praf reads as raw text: text only in an xmp
+    # or textarea, and with character references decoded only in a textarea.
     CDATA_CONTENT_ELEMENTS = (*HTMLParser.CDATA_CONTENT_ELEMENTS, "title", "iframe", "noembed",
-                              "noframes")
+                              "noframes", "xmp", "textarea")
 
     def __init__(self, skip_tags: set[str]):
         super().__init__(convert_charrefs=True)
@@ -97,10 +100,18 @@ class HTMLParserExtractor(HTMLParser):
         self.extractor.handle_endtag(tag)
 
     def handle_data(self, data):
-        if self.cdata_elem is None:
+        if self.cdata_elem in (None, "xmp"):
             self.extractor.handle_data(data)
+        elif self.cdata_elem == "textarea":
+            self.extractor.handle_data(unescape(data))
 
     def close(self):
+        # The raw text of an xmp or textarea left open runs to the end of the
+        # page, less an end tag cut off in the blanks before its ">";
+        # html.parser would hold it all back.
+        if self.cdata_elem in ("xmp", "textarea"):
+            self.handle_data(re.sub(rf"</{self.cdata_elem}\s+\Z", "", self.rawdata, flags=re.I))
+            self.rawdata = ""
         # Input left unparsed at the end that starts with "<" is markup cut
         # off before its end (a truncated page); html.parser would flush it
         # as text, so drop it.

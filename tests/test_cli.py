@@ -1,10 +1,13 @@
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -80,18 +83,31 @@ class TestAudit:
         out = tmp_path / "out"
         result = invoke(runner, ["audit", "--out", str(out)])
         assert result.exit_code == 0
-        for name in ["matrix.md", "matrix.csv", "matrix.json", "summary.md",
-                     "summary.json", "smog.csv", "run.json"]:
-            assert (out / name).exists(), name
-        assert len(list((out / "apps").glob("*.md"))) == 28
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == {"matrix.md", "matrix.csv", "matrix.json", "summary.md",
+                           "summary.json", "smog.csv", "run.json",
+                           *(f"apps/A{i}.md" for i in range(1, 29))}
         run = json.loads((out / "run.json").read_text())
         assert run["detector_agreement"]["rate"] == 1.0
+
+    def test_every_markdown_stamp_is_the_run_time(self, runner, tmp_path, monkeypatch):
+        """With a clock that moves on at every reading, each markdown file
+        opens with the time that run.json records, and no other file does."""
+        ticks = itertools.count()
+        start = datetime(2025, 1, 15, tzinfo=timezone.utc)
+        monkeypatch.setattr("praf.cli.datetime", SimpleNamespace(
+            now=lambda tz: start + timedelta(seconds=next(ticks))))
+        out = tmp_path / "out"
+        assert invoke(runner, ["audit", "--out", str(out)]).exit_code == 0
+        stamp = f"<!-- generated: {json.loads((out / 'run.json').read_text())['generated_at']} -->"
+        for path in filter(Path.is_file, out.rglob("*")):
+            assert (path.read_text().split("\n", 1)[0] == stamp) == (path.suffix == ".md"), path
 
     def test_jobs_is_accepted_and_ignored(self, runner, tmp_path):
         outputs = []
         for extra in ([], ["--jobs", "4"]):
             out = tmp_path / f"out{len(extra)}"
-            result = invoke(runner, ["audit", "--format", "json", "--out", str(out), *extra])
+            result = invoke(runner, ["audit", "--out", str(out), *extra])
             assert result.exit_code == 0
             outputs.append((out / "matrix.json").read_bytes())
         assert outputs[0] == outputs[1]
@@ -224,7 +240,7 @@ class TestAudit:
         out = tmp_path / "o"
         result = invoke(runner, [
             "audit", "--codebook", str(cb), "--cache", str(tmp_path / "cold"),
-            "--out", str(out), "--format", "json",
+            "--out", str(out),
         ])
         assert result.exit_code == 0
         rows = json.loads((out / "matrix.json").read_text())["rows"]
@@ -256,7 +272,7 @@ class TestAudit:
         out = tmp_path / "o"
         result = invoke(runner, [
             "audit", "--codebook", str(cb), "--cache", str(FIXTURES / "cache"),
-            "--out", str(out), "--format", "csv",
+            "--out", str(out),
         ])
         assert result.exit_code == 0
         lines = (out / "matrix.csv").read_text().strip().split("\n")
@@ -391,8 +407,10 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL summary smog_mean: computed None != target 11.99" in result.output
 
-    def test_unknown_flag_exit_2(self, runner):
-        result = invoke(runner, ["verify", "--bogus"])
+    @pytest.mark.parametrize("args", [["verify", "--bogus"], ["audit", "--format", "json"]],
+                             ids=" ".join)
+    def test_unknown_flag_exit_2(self, runner, args):
+        result = invoke(runner, args)
         assert result.exit_code == 2
 
 

@@ -153,11 +153,12 @@ def _start_tag(names):
 
 _START_TAG = _start_tag(_TAG_NAMES)
 _END_TAG = st.tuples(st.just("</"), _any_case(_TAG_NAMES), st.sampled_from([">", " >"])).map("".join)
-_TEXT_ELEMENT = st.sampled_from(sorted(_TEXT_ELEMENTS)).flatmap(lambda tag: st.tuples(
+# A raw-text element: one of _TEXT_ELEMENTS, or an xmp or textarea, whose raw text is text.
+_TEXT_ELEMENT = st.sampled_from(sorted(_TEXT_ELEMENTS | {"xmp", "textarea"})).flatmap(lambda tag: st.tuples(
     st.just("<"), _any_case({tag}), st.lists(_ATTRIBUTE, max_size=2).map("".join), st.just(">"),
     st.lists(st.sampled_from(["x = 1;", " ", "\n", "<", "</p>", "</scriptx", "</stylex", "&amp;",
                               "if (a<b)", "</titlex", "We", "<b>", "</div>", "&lt;", "&",
-                              "</iframex"]),
+                              "</iframex", "</xmpx"]),
              max_size=6).map("".join),
     st.just("</"), _any_case({tag}), st.sampled_from([">", " >"])).map("".join))
 _PAGE = st.tuples(st.lists(st.one_of(
@@ -552,6 +553,8 @@ class TestExtractText:
         (b"<p>A<![CDATA[x>y]]>B</p>", "A y]]>B"),
         # NUL is part of a tag name
         (b"<p>A<b\x00>B</b\x00></p>", "A B"),
+        # an end tag named br breaks the line as a <br> does
+        (b"<p>A</br>B</p>", "A\nB"),
     ])
     def test_constructs_outside_the_grammar_follow_whatwg(self, raw, expected):
         assert extract_text(raw, "text/html") == expected
@@ -831,7 +834,7 @@ class TestUrllibTransport:
 
 class TestDocumentFromFetch:
     def test_accessible(self):
-        fetched = RawFetch("u", "u", b"<p>We protect data.</p>", "text/html", 200)
+        fetched = RawFetch("u", b"<p>We protect data.</p>", "text/html", 200)
         doc = document_from_fetch("A1", fetched, TS)
         assert doc.accessible
         assert doc.text == "We protect data."
@@ -843,7 +846,7 @@ class TestDocumentFromFetch:
         assert doc.text == ""
 
     def test_empty_extraction_becomes_inaccessible(self):
-        fetched = RawFetch("u", "u", b"<script>x()</script>", "text/html", 200)
+        fetched = RawFetch("u", b"<script>x()</script>", "text/html", 200)
         doc = document_from_fetch("A1", fetched, TS)
         assert not doc.accessible
         assert doc.reason is InaccessibleReason.EMPTY_AFTER_EXTRACTION
