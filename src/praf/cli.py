@@ -1,17 +1,18 @@
 """Command-line interface: fetch, audit, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or input
-error, 3 incomplete inputs (an app with neither a cached document nor
-complete annotations). Defaults point at the bundled reference fixtures so
-`praf audit` and `praf verify` work out of the box. Every audit writes one
-artifact set with one time, read once per run: the header line of each
-markdown artifact and run.json's generated_at, the only places a time appears.
+error (a PrafError, naming the input at fault), 3 incomplete inputs (an app
+with neither a cached document nor complete annotations). Defaults point at
+the bundled reference fixtures so `praf audit` and `praf verify` work out of
+the box. Every audit writes one artifact set with one time, read once per
+run: the header line of each markdown artifact and run.json's generated_at,
+the only places a time appears. What an earlier audit into the same
+directory wrote and this one did not is deleted, so it holds one set.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import click
 
 from . import pipeline
-from .corpus import load_codebook
+from .corpus import PSEUDONYM_RE, load_codebook
 from .detect import default_rules_path, load_rules
 from .errors import PrafError
 from .ingest import atomic_write
@@ -49,11 +50,8 @@ def _fail(code: int, message: str) -> None:
 def _resolve_cache(cache: str | None, *, writable: bool) -> Path:
     if cache:
         return Path(cache)
-    env = os.environ.get("PRAF_CACHE")
-    if env:
-        return Path(env)
     if writable:
-        _fail(EXIT_CONFIG, "no writable cache directory; pass --cache or set PRAF_CACHE")
+        _fail(EXIT_CONFIG, "no writable cache directory; pass --cache")
     return FIXTURES_DIR / "cache"
 
 
@@ -86,7 +84,7 @@ def main() -> None:
 @click.option("--codebook", type=click.Path(), default=str(FIXTURES_DIR / "codebook.json"),
               show_default=True, help="Codebook JSON file.")
 @click.option("--cache", type=click.Path(), default=None,
-              help="Cache directory (falls back to $PRAF_CACHE).")
+              help="Cache directory; offline, defaults to the bundled fixtures.")
 @click.option("--offline", is_flag=True, help="Never touch the network; replay the cache.")
 @click.option("--jobs", type=click.IntRange(min=1), default=pipeline.DEFAULT_JOBS,
               show_default=True, help="Concurrent fetch workers.")
@@ -105,7 +103,7 @@ def fetch(codebook, cache, offline, jobs, respect_robots):
 @click.option("--codebook", type=click.Path(), default=str(FIXTURES_DIR / "codebook.json"),
               show_default=True, help="Codebook JSON file.")
 @click.option("--cache", type=click.Path(), default=None,
-              help="Cache directory (falls back to $PRAF_CACHE, then bundled fixtures).")
+              help="Cache directory (defaults to the bundled fixtures).")
 @click.option("--rules", type=click.Path(), default=str(default_rules_path()),
               show_default=True, help="Detection rule file.")
 @click.option("--out", type=click.Path(), default="praf-out", show_default=True,
@@ -158,6 +156,17 @@ def audit(codebook, cache, rules, out, jobs, reveal_names):
         "detector_agreement": result.agreement(),
     }
     _write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n", generated_at)
+    # An earlier run's reports of other apps, and its summary if this run has none.
+    pseudonyms = {a.record.pseudonym for a in audits}
+    stale = [path for path in (out_dir / "apps").glob("*.md")
+             if PSEUDONYM_RE.match(path.stem) and path.stem not in pseudonyms]
+    if not audits:
+        stale += [out_dir / "summary.md", out_dir / "summary.json"]
+    for path in stale:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise PrafError(f"cannot remove {path}: {exc}") from exc
     click.echo(f"audited {len(audits)} apps -> {out_dir}")
     agreement = run_meta["detector_agreement"]
     if agreement["rate"] is not None:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from urllib.parse import unquote, urlsplit
 
 from .detect import DIMENSIONS, DetectionDimension, Verdict
-from .errors import MalformedCodebook, read_json
+from .errors import PrafError, read_json
 from .ingest import atomic_write
 
 PSEUDONYM_RE = re.compile(r"^[A-Za-z][1-9][0-9]*$")
@@ -49,7 +49,7 @@ class AppRecord:
 
     def __post_init__(self):
         if not PSEUDONYM_RE.match(self.pseudonym):
-            raise MalformedCodebook(
+            raise PrafError(
                 f"pseudonym {self.pseudonym!r} must be a letter plus a positive integer",
                 "pseudonym")
         if self.policy_url is not None:  # fetch requests nothing but http(s) URLs
@@ -59,8 +59,8 @@ class AppRecord:
             except ValueError:  # an unbalanced IPv6 bracket, plain or percent-encoded
                 parts = None
             if not (parts and parts.scheme in ("http", "https") and parts.hostname):
-                raise MalformedCodebook(f"policy_url {self.policy_url!r} must be null or an "
-                                        "absolute http(s) URL", "policy_url")
+                raise PrafError(f"policy_url {self.policy_url!r} must be null or an "
+                                "absolute http(s) URL", "policy_url")
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,11 @@ class Codebook:
         seen = set()
         for rec in self.records:
             if rec.pseudonym in seen:
-                raise MalformedCodebook(f"duplicate pseudonym {rec.pseudonym!r}")
+                raise PrafError(f"duplicate pseudonym {rec.pseudonym!r}")
             seen.add(rec.pseudonym)
         for ann in self.annotations:
             if ann.app not in seen:
-                raise MalformedCodebook(f"annotation references unknown app {ann.app!r}")
+                raise PrafError(f"annotation references unknown app {ann.app!r}")
 
     def overrides_for(self, pseudonym: str) -> dict[DetectionDimension, Verdict]:
         """Merged overrides for one app; later annotation sets win per dimension."""
@@ -146,8 +146,8 @@ def _parse_record(obj: dict, locator: str) -> AppRecord:
             policy_url=obj["policy_url"],
             store_source=StoreSource(obj["store_source"]),
         )
-    except MalformedCodebook as exc:  # a bad pseudonym or policy_url
-        raise MalformedCodebook(exc.message, f"{locator}.{exc.locator}") from None
+    except PrafError as exc:  # a bad pseudonym or policy_url
+        raise PrafError(exc.message, f"{locator}.{exc.locator}") from None
 
 
 def _parse_annotation(obj: dict, locator: str) -> AnnotationSet:
@@ -155,7 +155,7 @@ def _parse_annotation(obj: dict, locator: str) -> AnnotationSet:
     try:
         timestamp = datetime.fromisoformat(raw_ts.replace("Z", "+00:00"))
     except ValueError:
-        raise MalformedCodebook(f"bad timestamp {raw_ts!r}", f"{locator}.timestamp") from None
+        raise PrafError(f"bad timestamp {raw_ts!r}", f"{locator}.timestamp") from None
     if timestamp.tzinfo is None:
         timestamp = timestamp.replace(tzinfo=timezone.utc)
     return AnnotationSet(
@@ -167,7 +167,7 @@ def _parse_annotation(obj: dict, locator: str) -> AnnotationSet:
 
 
 def load_codebook(path: str | Path) -> Codebook:
-    data = read_json(path, _CODEBOOK_SHAPE, MalformedCodebook, "codebook")
+    data = read_json(path, _CODEBOOK_SHAPE, "codebook")
     try:
         return Codebook(
             records=tuple(_parse_record(obj, f"records[{i}]")
@@ -175,8 +175,8 @@ def load_codebook(path: str | Path) -> Codebook:
             annotations=tuple(_parse_annotation(obj, f"annotations[{i}]")
                               for i, obj in enumerate(data.get("annotations", []))),
         )
-    except MalformedCodebook as exc:  # a bad pseudonym or timestamp, or a broken invariant
-        raise MalformedCodebook(f"codebook {path}: {exc}") from None
+    except PrafError as exc:  # a bad pseudonym or timestamp, or a broken invariant
+        raise PrafError(f"codebook {path}: {exc}") from None
 
 
 def _record_to_json(rec: AppRecord) -> dict:

@@ -57,8 +57,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import (NUMBER, MalformedRules, NoSentences, UnknownDimension, UnsupportedDimension,
-                     read_json)
+from .errors import NUMBER, PrafError, read_json
 from .readability import AnalyzedText, analyze
 
 
@@ -190,7 +189,7 @@ def _side(phrase: str) -> Side:
     ending in ``*``; empty when there is no such run."""
     words = phrase.split()
     if not words:
-        raise MalformedRules(f"empty pattern {phrase!r}")
+        raise PrafError(f"empty pattern {phrase!r}")
     pieces = [re.escape(w[:-1]) + r"\w*" if w.endswith("*") else re.escape(w) for w in words]
     regex = re.compile(r"\b" + r"\s+".join(pieces) + r"\b", re.IGNORECASE)
     runs = [(m[0].lower(), w.endswith("*") and m.end() == len(w) - 1)
@@ -218,7 +217,7 @@ class RuleSet:
         for dim in DetectionDimension:
             rules = self.by_dimension.get(dim)
             if rules is None or not (rules.strong or rules.weak):
-                raise MalformedRules(f"dimension {dim.value} has no rules")
+                raise PrafError(f"dimension {dim.value} has no rules")
 
     def rules_for(self, dim: DetectionDimension) -> DimensionRules:
         return self.by_dimension[dim]
@@ -233,7 +232,7 @@ _RULES_SHAPE["vague_commitments"]["thresholds"] = {"yes_sentences": int}
 
 
 def load_rules(path: str | Path) -> RuleSet:
-    data = read_json(path, _RULES_SHAPE, MalformedRules, "rules file")
+    data = read_json(path, _RULES_SHAPE, "rules file")
     by_dim = {}
     for key, spec in data.items():
         strong = spec.get("strong", [])
@@ -241,9 +240,9 @@ def load_rules(path: str | Path) -> RuleSet:
         for i, raw in enumerate(strong + spec.get("weak", [])):
             try:
                 patterns.append(compile_pattern(raw, f"{key}:{i}"))
-            except MalformedRules as exc:
+            except PrafError as exc:
                 side = f"strong[{i}]" if i < len(strong) else f"weak[{i - len(strong)}]"
-                raise MalformedRules(f"rules file {path}: {exc}", f"{key}.{side}") from None
+                raise PrafError(f"rules file {path}: {exc}", f"{key}.{side}") from None
         by_dim[DetectionDimension(key)] = DimensionRules(
             strong=tuple(patterns[:len(strong)]),
             weak=tuple(patterns[len(strong):]),
@@ -251,8 +250,8 @@ def load_rules(path: str | Path) -> RuleSet:
         )
     try:
         return RuleSet(by_dimension=by_dim)
-    except MalformedRules as exc:  # a dimension without rules
-        raise MalformedRules(f"rules file {path}: {exc}") from None
+    except PrafError as exc:  # a dimension without rules
+        raise PrafError(f"rules file {path}: {exc}") from None
 
 
 def default_rules_path() -> Path:
@@ -333,7 +332,7 @@ def detect_principle(text: str | AnalyzedText, dimension: DetectionDimension,
                      rules: RuleSet) -> Finding:
     """Detect one of the eight principle dimensions (see :func:`_phrase_finding`)."""
     if DIMENSIONS[dimension].kind != "principle":
-        raise UnsupportedDimension(
+        raise ValueError(
             f"{dimension.value} is not a principle dimension; use its dedicated detector"
         )
     return _phrase_finding(analyze(text), dimension, rules)
@@ -344,7 +343,7 @@ def detect_ambiguity(text: str | AnalyzedText, rules: RuleSet) -> Finding:
     doc = analyze(text)
     sentences = doc.sentence_spans
     if not sentences:
-        raise NoSentences("ambiguity detection needs at least one sentence")
+        raise ValueError("ambiguity detection needs at least one sentence")
     dr = rules.rules_for(DetectionDimension.AMBIGUOUS_LANGUAGE)
     partial_at, yes_at = dr.thresholds["partial_density"], dr.thresholds["yes_density"]
     spans = [EvidenceSpan(*sentences[k], rule_id)
@@ -395,12 +394,12 @@ def apply_overrides(findings: list[Finding], overrides: Mapping[DetectionDimensi
 
     Overridden findings are flagged manual; a manual "no" drops the automated
     evidence, while positive overrides keep it for reference. Raises
-    UnknownDimension when an override names a dimension absent from findings.
+    ValueError when an override names a dimension absent from findings.
     """
     present = {f.dimension for f in findings}
     for dim in overrides:
         if dim not in present:
-            raise UnknownDimension(f"override for {dim.value} matches no finding")
+            raise ValueError(f"override for {dim.value} matches no finding")
     result = []
     for f in findings:
         verdict = overrides.get(f.dimension)

@@ -1,5 +1,10 @@
-"""Exception types shared across the praf package, and the one reader of the
-JSON input files: every loader states its file's shape and calls read_json."""
+"""The one error praf reports about its input, and the one reader of the
+JSON input files: every loader states its file's shape and calls read_json.
+
+A PrafError is a fault in what praf was given to read or write (an input
+file, a cache entry, the output directory) and ends the command with exit 2,
+naming it; a check inside praf that no input can fail raises ValueError, so
+its traceback shows a fault in praf itself."""
 
 import json
 import math
@@ -10,16 +15,16 @@ NUMBER = (int, float)
 
 
 class PrafError(Exception):
-    """Base class for all praf errors; ``locator`` names the bad part of an
-    input file, such as ``records[2].policy_url``."""
+    """A fault in praf's input; ``locator`` names the bad part of an input
+    file, such as ``records[2].policy_url``."""
 
     def __init__(self, message: str, locator: str | None = None):
         self.message, self.locator = message, locator
         super().__init__(f"{message} (at {locator})" if locator else message)
 
 
-def check_shape(value, shape, error: type[PrafError], where: str, locator: str = "") -> None:
-    """Raise ``error`` naming ``where`` (the file), the locator and the value
+def check_shape(value, shape, where: str, locator: str = "") -> None:
+    """Raise PrafError naming ``where`` (the file), the locator and the value
     of the first part of parsed JSON ``value`` that does not fit ``shape``.
 
     A shape is a type or a tuple of types (``None`` for null; a bool is not
@@ -29,7 +34,7 @@ def check_shape(value, shape, error: type[PrafError], where: str, locator: str =
     where a name ending in ``?`` may be absent.
     """
     def fail(expected: str):
-        raise error(f"{where}: expected {expected}, not {reprlib.repr(value)}", locator or None)
+        raise PrafError(f"{where}: expected {expected}, not {reprlib.repr(value)}", locator or None)
 
     if isinstance(shape, dict):
         if not isinstance(value, dict):
@@ -38,17 +43,16 @@ def check_shape(value, shape, error: type[PrafError], where: str, locator: str =
         for key in [*names, *(key for key in value if key not in names)]:
             at = f"{locator}.{key}" if locator else key
             if key not in names:
-                raise error(f"{where}: unknown field {key!r}", at)
+                raise PrafError(f"{where}: unknown field {key!r}", at)
             if key in value:
-                check_shape(value[key], shape[names[key]], error, where, at)
+                check_shape(value[key], shape[names[key]], where, at)
             elif key == names[key]:
-                raise error(f"{where}: missing field {key!r}", at)
+                raise PrafError(f"{where}: missing field {key!r}", at)
     elif isinstance(shape, list):
         if not isinstance(value, list) or len(shape) > 1 and len(value) != len(shape):
             fail(f"an array of {len(shape)}" if len(shape) > 1 else "an array")
         for i, item in enumerate(value):
-            check_shape(item, shape[i] if len(shape) > 1 else shape[0], error, where,
-                        f"{locator}[{i}]")
+            check_shape(item, shape[i] if len(shape) > 1 else shape[0], where, f"{locator}[{i}]")
     elif isinstance(shape, set):
         if isinstance(value, (list, dict)) or value not in shape:
             fail(f"one of {sorted(shape, key=str)}")
@@ -60,60 +64,20 @@ def check_shape(value, shape, error: type[PrafError], where: str, locator: str =
             fail(" or ".join("null" if t is None else t.__name__ for t in types))
 
 
-class MissingFile(PrafError):
-    """An input file does not exist."""
-
-
-def read_json(path, shape, error: type[PrafError], what: str):
+def read_json(path, shape, what: str):
     """The JSON file ``what`` at ``path``, checked against ``shape``. Raises
-    MissingFile when there is none, and ``error`` naming the file when it
-    cannot be read as UTF-8 JSON or does not fit the shape."""
+    PrafError naming the file when there is none, when it cannot be read as
+    UTF-8 JSON or when it does not fit the shape."""
     path = Path(path)
     if not path.exists():
-        raise MissingFile(f"{what} not found: {path}")
+        raise PrafError(f"{what} not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable (a directory, say), not UTF-8, not JSON
-        raise error(f"{what} {path} is not readable UTF-8 JSON: {exc}") from exc
-    check_shape(data, shape, error, f"{what} {path}")
+        raise PrafError(f"{what} {path} is not readable UTF-8 JSON: {exc}") from exc
+    check_shape(data, shape, f"{what} {path}")
     return data
-
-
-class IoFailure(PrafError):
-    """A filesystem write or read failed."""
-
-
-class MalformedCodebook(PrafError):
-    """Codebook file is syntactically invalid or violates an invariant."""
-
-
-class CorruptCache(PrafError):
-    """A cache entry exists but does not parse back into a document."""
-
-
-class MalformedRules(PrafError):
-    """Rule file is invalid: bad syntax, unknown dimension, or empty rule list."""
 
 
 class EmptyAfterExtraction(PrafError):
     """HTML extraction produced no visible text."""
-
-
-class NoSentences(PrafError):
-    """Text contains no sentences; readability is undefined."""
-
-
-class NonAlphabetic(PrafError):
-    """Token passed to the syllable counter has no letters."""
-
-
-class UnsupportedDimension(PrafError):
-    """Dimension is handled by a different detector."""
-
-
-class UnknownDimension(PrafError):
-    """Annotation override names a dimension absent from the findings."""
-
-
-class EmptyCorpus(PrafError):
-    """Summary statistics need at least one profile."""

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .errors import CorruptCache, EmptyAfterExtraction, IoFailure, read_json
+from .errors import EmptyAfterExtraction, PrafError, read_json
 
 DEFAULT_USER_AGENT = "praf-policy-auditor/0.1 (+privacy policy research)"
 DEFAULT_TIMEOUT = 10.0
@@ -52,7 +52,7 @@ class PolicyDocument:
 
     def __post_init__(self):
         if self.accessible:
-            if not self.text:
+            if not self.text or self.text.isspace():
                 raise ValueError(f"{self.app}: accessible document with empty text")
             if self.reason is not None:
                 raise ValueError(f"{self.app}: accessible document with a failure reason")
@@ -76,7 +76,6 @@ class FetchFailure:
     url: str
     reason: InaccessibleReason
     status: int | None = None
-    detail: str = ""
 
 
 # urllib.request and urllib.robotparser are imported where they are used:
@@ -151,8 +150,8 @@ def fetch_policy(
             time.sleep(0.5 * 2 ** (attempt - 1))
         try:
             status, content_type, body, final_url = transport.get(url, timeout)
-        except Exception as exc:
-            failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR, detail=str(exc))
+        except Exception:
+            failure = FetchFailure(url, InaccessibleReason.NETWORK_ERROR)
             continue
         if 200 <= status < 300:
             return RawFetch(final_url=str(final_url), body=body, content_type=content_type,
@@ -307,15 +306,15 @@ def _doc_from_json(data: dict) -> PolicyDocument:
 
 def cache_get(cache_dir: str | Path, url: str) -> PolicyDocument | None:
     """The cached document for url, None when there is none; raises
-    CorruptCache when the entry does not parse back into a document."""
+    PrafError naming the entry when it does not parse back into a document."""
     path = _cache_path(cache_dir, url)
     if not path.exists():
         return None
-    data = read_json(path, _DOC_SHAPE, CorruptCache, "corrupt cache entry")
+    data = read_json(path, _DOC_SHAPE, "corrupt cache entry")
     try:
         return _doc_from_json(data)
     except ValueError as exc:  # bad base64 or timestamp, or fields that contradict each other
-        raise CorruptCache(f"corrupt cache entry {path}: {exc!r}") from exc
+        raise PrafError(f"corrupt cache entry {path}: {exc!r}") from exc
 
 
 def cache_put(cache_dir: str | Path, url: str, doc: PolicyDocument) -> None:
@@ -340,4 +339,4 @@ def atomic_write(path: str | Path, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise PrafError(f"cannot write {path}: {exc}") from exc

@@ -96,8 +96,7 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
 
         def request(url: str):
             if respect_robots and not robots[urljoin(url, "/robots.txt")].result()(url):
-                return FetchFailure(url, InaccessibleReason.ROBOTS_BLOCKED,
-                                    detail="blocked by robots.txt")
+                return FetchFailure(url, InaccessibleReason.ROBOTS_BLOCKED)
             return fetch_policy(url, transport=transport)
 
         outcomes = pool.map(request, stale)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import NonAlphabetic, NoSentences
-
 SMOG_SLOPE = 1.0430
 SMOG_INTERCEPT = 3.1291
 
@@ -106,7 +104,7 @@ class ReadabilityResult:
 def smog_from_counts(sentences: int, polysyllables: int) -> float:
     """SMOG grade from raw counts; sentences must be >= 1."""
     if sentences < 1:
-        raise NoSentences("SMOG requires at least one sentence")
+        raise ValueError("SMOG requires at least one sentence")
     return SMOG_SLOPE * math.sqrt(polysyllables * 30.0 / sentences) + SMOG_INTERCEPT
 
 
@@ -307,10 +305,10 @@ def count_syllables(word: str) -> int:
     """Heuristic syllable count: maximal vowel groups (a e i o u y, or a letter
     whose NFD base is one; a diaeresis starts a new group), minus one for a
     terminal silent plain 'e' (kept when the word ends in consonant + 'le');
-    never less than one. Raises NonAlphabetic for tokens without letters."""
+    never less than one. Raises ValueError for tokens without letters."""
     letters = [c for c in word.lower() if c.isalpha()]
     if not letters:
-        raise NonAlphabetic(f"no letters in token {word!r}")
+        raise ValueError(f"no letters in token {word!r}")
     keys = letters if word.isascii() else [_vowel_key(c) for c in letters]
     groups = 0
     prev_vowel = False
@@ -365,7 +363,7 @@ def smog_grade(text: str | AnalyzedText) -> ReadabilityResult:
     doc = analyze(text)
     sentences = doc.sentence_spans
     if not sentences:
-        raise NoSentences("no sentences in text")
+        raise ValueError("no sentences in text")
     poly = count_polysyllables(doc.text)
     return ReadabilityResult(
         smog_grade=smog_from_counts(len(sentences), poly),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .detect import DIMENSIONS, Finding, Verdict, dimensions
-from .errors import EmptyCorpus
+from .errors import PrafError
 from .score import ELEMENTS
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ def summarize(audits: Sequence[AppAudit]) -> CorpusSummary:
     """Corpus statistics; means and population SDs include zero-scored
     inaccessible apps, SMOG mean covers only apps with readability."""
     if not audits:
-        raise EmptyCorpus("summarize needs at least one audit")
+        raise PrafError("summarize needs at least one audit")
     total = len(audits)
 
     counts = {

@@ -71,7 +71,7 @@ _REFERENCE_SHAPE = {
 
 
 def load_reference(path: str | Path) -> dict:
-    reference = read_json(path, _REFERENCE_SHAPE, PrafError, "reference results")
+    reference = read_json(path, _REFERENCE_SHAPE, "reference results")
     for i, row in enumerate(reference["apps"]):
         if row["smog"] is not None and row["smog"] < SMOG_INTERCEPT:
             raise PrafError(f"reference results {path}: SMOG grade {row['smog']} is below the "

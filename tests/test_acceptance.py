@@ -66,7 +66,7 @@ def test_criterion_1_reference_table_reproduction(fixture_codebook, reference):
         ("A2", 20, 19)
     ]
 
-    result = CliRunner().invoke(cli_main, ["verify"], env={"PRAF_CACHE": ""})
+    result = CliRunner().invoke(cli_main, ["verify"])
     assert result.exit_code == 0
     announce(1, "reference table reproduction, A2 waived, < 1 s")
 
@@ -296,7 +296,7 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     outs = []
     for name in ("one", "two"):
         out = tmp_path / name
-        result = runner.invoke(cli_main, ["audit", "--out", str(out)], env={"PRAF_CACHE": ""})
+        result = runner.invoke(cli_main, ["audit", "--out", str(out)])
         assert result.exit_code == 0
         outs.append(out)
     first, second = (_artifact_bytes(o) for o in outs)

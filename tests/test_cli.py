@@ -26,7 +26,7 @@ def runner():
 
 
 def invoke(runner, args, **kwargs):
-    return runner.invoke(main, args, env={"PRAF_CACHE": ""}, **kwargs)
+    return runner.invoke(main, args, **kwargs)
 
 
 def edited(path: Path, edit) -> dict:
@@ -63,7 +63,7 @@ class TestFetch:
     def test_online_without_cache_dir_is_config_error(self, runner):
         result = invoke(runner, ["fetch"])
         assert result.exit_code == 2
-        assert "cache" in result.output
+        assert result.output == "error: no writable cache directory; pass --cache\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_a_usage_error(self, runner, jobs):
@@ -103,6 +103,41 @@ class TestAudit:
         for path in filter(Path.is_file, out.rglob("*")):
             assert (path.read_text().split("\n", 1)[0] == stamp) == (path.suffix == ".md"), path
 
+    def test_out_holds_only_the_latest_run(self, runner, tmp_path):
+        """Audits of the bundled corpus, of its app A1 alone and of no app,
+        run into one directory, each leave their own set and nothing of an
+        earlier run; a file that no audit writes stays, and a stale report
+        that cannot be removed ends in exit 2."""
+        bundled = json.loads((FIXTURES / "codebook.json").read_text())
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({
+            "records": [r for r in bundled["records"] if r["pseudonym"] == "A1"],
+            "annotations": [a for a in bundled["annotations"] if a["app"] == "A1"]}))
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"records": []}))
+        out = tmp_path / "out"
+        matrix = {"matrix.md", "matrix.csv", "matrix.json", "smog.csv", "run.json"}
+        summary = {"summary.md", "summary.json"}
+        for codebook, n_files, apps in [(FIXTURES / "codebook.json", 35, range(1, 29)),
+                                        (one, 8, [1]), (empty, 5, [])]:
+            result = invoke(runner, ["audit", "--codebook", str(codebook), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+            assert written == matrix | (summary if apps else set()) | {f"apps/A{i}.md"
+                                                                        for i in apps}
+            assert len(written) == n_files
+        (out / "apps" / "A7.md").write_text("an earlier run's report")
+        for name in ["notes.txt", "apps/notes.md", "apps/A7.md.bak"]:
+            (out / name).write_text("not an artifact")
+        assert invoke(runner, ["audit", "--codebook", str(one), "--out", str(out)]).exit_code == 0
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == matrix | summary | {"apps/A1.md", "notes.txt", "apps/notes.md",
+                                              "apps/A7.md.bak"}
+        (out / "apps" / "A7.md").mkdir()
+        result = invoke(runner, ["audit", "--codebook", str(one), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: cannot remove {out / 'apps' / 'A7.md'}: ")
+
     def test_jobs_is_accepted_and_ignored(self, runner, tmp_path):
         outputs = []
         for extra in ([], ["--jobs", "4"]):
@@ -131,13 +166,15 @@ class TestAudit:
         cache = tmp_path / "cache"
         shutil.copytree(FIXTURES / "cache", cache)
         entry = sorted(cache.glob("*.json"))[0]
-        entry.write_text("{truncated")
-        audit = invoke(runner, ["audit", "--cache", str(cache), "--out", str(tmp_path / "o")])
-        fetch = invoke(runner, ["fetch", "--offline", "--cache", str(cache)])
-        for result in (audit, fetch):
-            assert result.exit_code == 2
-            assert result.output.startswith("error: ")
-            assert entry.name in result.output
+        # An accessible document whose text is only whitespace has no sentence.
+        blank = json.dumps({**json.loads(entry.read_text()), "text": "   \n  "})
+        for body in ["{truncated", blank]:
+            entry.write_text(body)
+            audit = invoke(runner, ["audit", "--cache", str(cache), "--out", str(tmp_path / "o")])
+            fetch = invoke(runner, ["fetch", "--offline", "--cache", str(cache)])
+            for result in (audit, fetch):
+                assert result.exit_code == 2
+                assert result.output.startswith(f"error: corrupt cache entry {entry}")
 
     @pytest.mark.parametrize("value", [7, "/etc/hostname", "file:///etc/hostname",
                                        "data:text/plain,x", "ftp://h/p", "",
@@ -302,6 +339,18 @@ class TestVerify:
     def test_missing_expectations_exit_2(self, runner, tmp_path):
         result = invoke(runner, ["verify", "--expected", str(tmp_path / "none.json")])
         assert result.exit_code == 2
+
+    def test_no_app_in_codebook_or_reference_exit_2(self, runner, tmp_path):
+        codebook = tmp_path / "empty.json"
+        codebook.write_text(json.dumps({"records": []}))
+        expected = tmp_path / "no-apps.json"
+        expected.write_text(json.dumps(edited(FIXTURES / "reference_results.json",
+                                              lambda r: r.update(apps=[]))))
+        result = invoke(runner, ["verify", "--codebook", str(codebook),
+                                 "--expected", str(expected)])
+        assert result.exit_code == 2
+        assert result.output == (f"error: reference results {expected} do not fit codebook "
+                                 f"{codebook}: summarize needs at least one audit\n")
 
     def test_expectations_not_json_exit_2_names_file(self, runner, tmp_path):
         expected = tmp_path / "broken-reference.json"
@@ -514,7 +563,7 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def _run_fresh(tmp_path, *commands, script=_IMPORT_GUARD):
     """(stdout, modules loaded) of ``commands`` run in a fresh interpreter."""
-    env = {k: v for k, v in os.environ.items() if k != "PRAF_CACHE"}
+    env = dict(os.environ)
     src = str(Path(praf.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *commands],

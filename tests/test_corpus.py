@@ -14,7 +14,7 @@ from praf.corpus import (
     save_codebook,
 )
 from praf.detect import DetectionDimension as Dim, Verdict
-from praf.errors import IoFailure, MalformedCodebook, MissingFile
+from praf.errors import PrafError
 
 
 def small_codebook() -> Codebook:
@@ -41,16 +41,16 @@ def small_codebook() -> Codebook:
 class TestCodebookModel:
     def test_duplicate_pseudonym_rejected(self):
         rec = AppRecord("A3", AppCategory.FITNESS_SUPPORT)
-        with pytest.raises(MalformedCodebook):
+        with pytest.raises(PrafError, match="duplicate pseudonym 'A3'"):
             Codebook(records=(rec, rec))
 
     def test_bad_pseudonym_pattern(self):
         for bad in ("A0", "1A", "AA", "A-1", ""):
-            with pytest.raises(MalformedCodebook):
+            with pytest.raises(PrafError, match="must be a letter plus a positive integer"):
                 AppRecord(bad, AppCategory.TELEHEALTH)
 
     def test_annotation_must_reference_record(self):
-        with pytest.raises(MalformedCodebook):
+        with pytest.raises(PrafError, match="annotation references unknown app 'A9'"):
             Codebook(records=(), annotations=(AnnotationSet(app="A9"),))
 
     def test_overrides_merge_later_wins(self):
@@ -118,19 +118,19 @@ class TestPersistence:
         assert load_codebook(path) == Codebook()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(PrafError, match="codebook not found: .*absent.json"):
             load_codebook(tmp_path / "absent.json")
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "codebook.json"
         path.write_bytes(b"\xff\xfe{}")
-        with pytest.raises(MalformedCodebook, match="codebook.json"):
+        with pytest.raises(PrafError, match="codebook.json is not readable UTF-8 JSON"):
             load_codebook(path)
 
     def test_directory_rejected(self, tmp_path):
         path = tmp_path / "codebook.json"
         path.mkdir()
-        with pytest.raises(MalformedCodebook, match="codebook.json"):
+        with pytest.raises(PrafError, match="codebook.json is not readable UTF-8 JSON"):
             load_codebook(path)
 
     def test_duplicate_pseudonym_with_locator(self, tmp_path):
@@ -138,7 +138,7 @@ class TestPersistence:
         rec = {"pseudonym": "A3", "real_name": None, "category": "Telehealth",
                "policy_url": None, "store_source": "other"}
         path.write_text(json.dumps({"records": [rec, dict(rec)], "annotations": []}))
-        with pytest.raises(MalformedCodebook, match="A3"):
+        with pytest.raises(PrafError, match="A3"):
             load_codebook(path)
 
     def test_unknown_category_with_locator(self, tmp_path):
@@ -146,7 +146,7 @@ class TestPersistence:
         rec = {"pseudonym": "A1", "real_name": None, "category": "Gaming",
                "policy_url": None, "store_source": "other"}
         path.write_text(json.dumps({"records": [rec], "annotations": []}))
-        with pytest.raises(MalformedCodebook, match=r"records\[0\]"):
+        with pytest.raises(PrafError, match=r"records\[0\]"):
             load_codebook(path)
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -154,7 +154,7 @@ class TestPersistence:
         rec = {"pseudonym": "A1", "real_name": None, "category": "Telehealth",
                "policy_url": None, "store_source": "other", "color": "red"}
         path.write_text(json.dumps({"records": [rec], "annotations": []}))
-        with pytest.raises(MalformedCodebook, match="color"):
+        with pytest.raises(PrafError, match="color"):
             load_codebook(path)
 
     def test_bad_verdict_rejected(self, tmp_path):
@@ -164,7 +164,7 @@ class TestPersistence:
         ann = {"app": "A1", "overrides": {"data_encryption": "maybe"},
                "reviewer_note": "", "timestamp": "2024-11-01T00:00:00Z"}
         path.write_text(json.dumps({"records": [rec], "annotations": [ann]}))
-        with pytest.raises(MalformedCodebook, match="maybe"):
+        with pytest.raises(PrafError, match="maybe"):
             load_codebook(path)
 
     @staticmethod
@@ -178,19 +178,19 @@ class TestPersistence:
     def test_overrides_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "codebook.json"
         self._write_annotation(path, overrides=["data_encryption", "yes"])
-        with pytest.raises(MalformedCodebook, match=r"annotations\[0\]"):
+        with pytest.raises(PrafError, match=r"annotations\[0\]"):
             load_codebook(path)
 
     def test_timestamp_not_a_string_rejected(self, tmp_path):
         path = tmp_path / "codebook.json"
         self._write_annotation(path, timestamp=20241101)
-        with pytest.raises(MalformedCodebook, match=r"annotations\[0\]"):
+        with pytest.raises(PrafError, match=r"annotations\[0\]"):
             load_codebook(path)
 
     def test_unwritable_path(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not dir")
-        with pytest.raises(IoFailure):
+        with pytest.raises(PrafError, match="cannot write .*cb.json"):
             save_codebook(Codebook(), blocker / "cb.json")
 
     def test_verdicts_serialized_as_words(self, tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import os
 import re
 import socket
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import DetectionDimension, Verdict, default_rules_path, detect_all, load_rules
-from praf.errors import CorruptCache, EmptyAfterExtraction, IoFailure, MalformedCodebook
+from praf.errors import EmptyAfterExtraction, PrafError
 from praf.html_text import BLOCK_TAGS, LANDMARK_TAGS, SKIP_TAGS, TextExtractor, _raw_text_end
 from praf.ingest import (
     DEFAULT_USER_AGENT,
@@ -680,7 +681,7 @@ class TestFetchPolicy:
         url = f"http://{authority}{path}"
         try:
             codebook = _codebook(url)
-        except MalformedCodebook:
+        except PrafError:
             return
 
         class Site:
@@ -852,8 +853,9 @@ class TestDocumentFromFetch:
         assert doc.reason is InaccessibleReason.EMPTY_AFTER_EXTRACTION
 
     def test_document_invariants(self):
-        with pytest.raises(ValueError):
-            PolicyDocument("A1", "u", b"", "", TS, accessible=True)
+        for blank in ("", "   \n  "):
+            with pytest.raises(ValueError, match="accessible document with empty text"):
+                PolicyDocument("A1", "u", b"", blank, TS, accessible=True)
         with pytest.raises(ValueError):
             PolicyDocument("A1", "u", b"", "text", TS, accessible=False,
                            reason=InaccessibleReason.HTTP_ERROR)
@@ -886,7 +888,7 @@ class TestCache:
     def test_unwritable_dir(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        with pytest.raises(IoFailure):
+        with pytest.raises(PrafError, match="cannot write .*blocked"):
             cache_put(blocker / "cache", "https://a1.example/", self._doc())
 
     def test_no_partial_files_after_put(self, tmp_path):
@@ -907,7 +909,8 @@ class TestCache:
         url = "https://a1.example/privacy"
         cache_put(tmp_path, url, self._doc())
         (entry,) = tmp_path.glob("*.json")
-        for body in ["{truncated", "[]", '{"app": "A1"}']:
+        blank = json.dumps({**json.loads(entry.read_text()), "text": "   \n  "})
+        for body in ["{truncated", "[]", '{"app": "A1"}', blank]:
             entry.write_text(body)
-            with pytest.raises(CorruptCache, match=entry.name):
+            with pytest.raises(PrafError, match=f"corrupt cache entry .*{entry.name}"):
                 cache_get(tmp_path, url)

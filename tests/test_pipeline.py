@@ -5,7 +5,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from praf.cli import main
+from praf.cli import FIXTURES_DIR, main
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import default_rules_path, load_rules
 from praf.ingest import InaccessibleReason, cache_get
@@ -205,13 +205,16 @@ class TestAuditPipeline:
                        for ch in doc.text)
 
 
-class TestCacheEnvFallback:
-    def test_praf_cache_env_used(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(
+class TestCacheOption:
+    def test_praf_cache_env_is_ignored(self, tmp_path):
+        """Only --cache sets the cache: an empty directory in $PRAF_CACHE
+        does not hide the bundled one."""
+        (tmp_path / "envcache").mkdir()
+        result = CliRunner().invoke(
             main, ["fetch", "--offline"], env={"PRAF_CACHE": str(tmp_path / "envcache")},
         )
         assert result.exit_code == 0
         manifest = json.loads(result.output)
-        assert manifest["cache"].endswith("envcache")
-        assert all(a["status"] == "inaccessible" for a in manifest["apps"])
+        assert manifest["cache"] == str(FIXTURES_DIR / "cache")
+        assert len(manifest["apps"]) == 28
+        assert sum(a["status"] == "accessible" for a in manifest["apps"]) == 27

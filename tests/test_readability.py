@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from praf.corpus import load_codebook
 from praf.detect import default_rules_path, detect_all, load_rules
-from praf.errors import NonAlphabetic, NoSentences
 from praf.ingest import cache_get, extract_text
 from praf.readability import (
     ABBREVIATIONS,
@@ -204,7 +203,7 @@ class TestSyllables:
         assert count_syllables(unicodedata.normalize("NFC", accented)) == count_syllables(word)
 
     def test_non_alphabetic_rejected(self):
-        with pytest.raises(NonAlphabetic):
+        with pytest.raises(ValueError, match="no letters in token '42'"):
             count_syllables("42")
 
     def test_words_of_any_script_are_one_word(self):
@@ -268,7 +267,7 @@ class TestSmogFormula:
             assert smog_from_counts(s, p + 1) >= smog_from_counts(s, p)
 
     def test_zero_sentences_rejected(self):
-        with pytest.raises(NoSentences):
+        with pytest.raises(ValueError, match="SMOG requires at least one sentence"):
             smog_from_counts(0, 5)
 
 
@@ -289,7 +288,7 @@ class TestGradeOnText:
         assert result.polysyllable_count == 3
 
     def test_empty_text_rejected(self):
-        with pytest.raises(NoSentences):
+        with pytest.raises(ValueError, match="no sentences in text"):
             smog_grade("   ")
 
     def test_from_grade_wrapper(self):

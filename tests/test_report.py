@@ -6,7 +6,7 @@ import pytest
 
 from praf.corpus import AppCategory, AppRecord, load_codebook
 from praf.detect import DetectionDimension as Dim, Finding, Verdict, no_findings
-from praf.errors import EmptyCorpus
+from praf.errors import PrafError
 from praf.pipeline import audit_from_findings
 from praf.readability import ReadabilityResult
 from praf.report import (
@@ -74,7 +74,7 @@ class TestSummarize:
         assert a.overall_min == b.overall_min
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(PrafError, match="summarize needs at least one audit"):
             summarize([])
 
     def test_single_zero_profile(self):
