@@ -1,7 +1,7 @@
 """Command-line interface: fetch, audit, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or input
-error (a PrafError, naming the input at fault), 3 incomplete inputs (an app
+Exit codes: 0 success, 1 verification failure, 2 usage or input error (a
+PrafError, naming the input at fault), 3 incomplete inputs (an app
 with neither a cached document nor complete annotations). Defaults point at
 the bundled reference fixtures so `praf audit` and `praf verify` work out of
 the box. Every audit writes one artifact set with one time, read once per
@@ -12,26 +12,19 @@ directory wrote and this one did not is deleted, so it holds one set.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import click
 
 from . import pipeline
 from .corpus import PSEUDONYM_RE, load_codebook
 from .detect import default_rules_path, load_rules
 from .errors import PrafError
 from .ingest import atomic_write
-from .report import (
-    emit_app_report,
-    emit_matrix,
-    emit_smog_csv,
-    emit_summary_markdown,
-    summarize,
-    summary_to_json,
-)
+from .report import (emit_app_report, emit_matrix, emit_smog_csv, emit_summary_markdown,
+                     summarize, summary_to_json)
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURES_DIR = DATA_DIR / "fixtures"
@@ -43,20 +36,16 @@ EXIT_INCOMPLETE = 3
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 def _resolve_cache(cache: str | None, *, writable: bool) -> Path:
-    if cache:
+    if cache is not None:
         return Path(cache)
     if writable:
         _fail(EXIT_CONFIG, "no writable cache directory; pass --cache")
     return FIXTURES_DIR / "cache"
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _write(path: Path, body: str, generated_at: str) -> None:
@@ -65,67 +54,29 @@ def _write(path: Path, body: str, generated_at: str) -> None:
     atomic_write(path, body)
 
 
-class _Commands(click.Group):
-    """Every PrafError that a command raises exits 2 with its message."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except PrafError as exc:
-            _fail(EXIT_CONFIG, str(exc))
-
-
-@click.group(cls=_Commands)
-def main() -> None:
-    """Privacy-policy risk auditing for healthcare apps."""
-
-
-@main.command()
-@click.option("--codebook", type=click.Path(), default=str(FIXTURES_DIR / "codebook.json"),
-              show_default=True, help="Codebook JSON file.")
-@click.option("--cache", type=click.Path(), default=None,
-              help="Cache directory; offline, defaults to the bundled fixtures.")
-@click.option("--offline", is_flag=True, help="Never touch the network; replay the cache.")
-@click.option("--jobs", type=click.IntRange(min=1), default=pipeline.DEFAULT_JOBS,
-              show_default=True, help="Concurrent fetch workers.")
-@click.option("--respect-robots/--ignore-robots", default=True, show_default=True)
-def fetch(codebook, cache, offline, jobs, respect_robots):
+def fetch(args: argparse.Namespace) -> int:
     """Fetch privacy policies into the cache and print a status manifest."""
-    cb = load_codebook(codebook)
-    cache_dir = _resolve_cache(cache, writable=not offline)
-    manifest = pipeline.fetch_corpus(
-        cb, cache_dir, offline=offline, jobs=jobs, respect_robots=respect_robots,
-    )
-    click.echo(json.dumps({"cache": str(cache_dir), "apps": manifest}, indent=2))
+    cb = load_codebook(args.codebook)
+    cache_dir = _resolve_cache(args.cache, writable=not args.offline)
+    manifest = pipeline.fetch_corpus(cb, cache_dir, offline=args.offline, jobs=args.jobs,
+                                     respect_robots=args.respect_robots)
+    print(json.dumps({"cache": str(cache_dir), "apps": manifest}, indent=2))
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--codebook", type=click.Path(), default=str(FIXTURES_DIR / "codebook.json"),
-              show_default=True, help="Codebook JSON file.")
-@click.option("--cache", type=click.Path(), default=None,
-              help="Cache directory (defaults to the bundled fixtures).")
-@click.option("--rules", type=click.Path(), default=str(default_rules_path()),
-              show_default=True, help="Detection rule file.")
-@click.option("--out", type=click.Path(), default="praf-out", show_default=True,
-              help="Output directory for report artifacts.")
-@click.option("--jobs", type=int, default=None, hidden=True,
-              help="Accepted for compatibility and ignored; audit runs serially.")
-@click.option("--reveal-names", is_flag=True,
-              help="Include real app names in per-app reports (redacted by default).")
-def audit(codebook, cache, rules, out, jobs, reveal_names):
+def audit(args: argparse.Namespace) -> int:
     """Score every app from cached policies + annotations and write reports."""
-    cb = load_codebook(codebook)
-    rules_path = Path(rules)
+    cb = load_codebook(args.codebook)
+    rules_path = Path(args.rules)
     ruleset = load_rules(rules_path)
-    cache_dir = _resolve_cache(cache, writable=False)
+    cache_dir = _resolve_cache(args.cache, writable=False)
     result = pipeline.run_audit(cb, cache_dir, ruleset)
     if result.incomplete:
         _fail(EXIT_INCOMPLETE,
               "no cached policy and incomplete annotations for: " + ", ".join(result.incomplete))
     audits = result.audits
-
-    out_dir = Path(out)
-    generated_at = _timestamp()
+    out_dir = Path(args.out)
+    generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     _write(out_dir / "matrix.md", emit_matrix(audits, "markdown"), generated_at)
     _write(out_dir / "matrix.csv", emit_matrix(audits, "csv"), generated_at)
     _write(out_dir / "matrix.json", emit_matrix(audits, "json"), generated_at)
@@ -137,22 +88,16 @@ def audit(codebook, cache, rules, out, jobs, reveal_names):
     _write(out_dir / "smog.csv", emit_smog_csv(audits), generated_at)
 
     for audit_item in audits:
-        body = emit_app_report(audit_item, reveal_names=reveal_names)
+        body = emit_app_report(audit_item, reveal_names=args.reveal_names)
         _write(out_dir / "apps" / f"{audit_item.record.pseudonym}.md", body, generated_at)
 
     run_meta = {
         "generated_at": generated_at,
-        "codebook": str(codebook),
+        "codebook": args.codebook,
         "cache": str(cache_dir),
         "rules": str(rules_path),
-        "apps": [
-            {
-                "app": a.record.pseudonym,
-                "accessible": a.accessible,
-                "overall": a.profile.overall,
-            }
-            for a in audits
-        ],
+        "apps": [{"app": a.record.pseudonym, "accessible": a.accessible,
+                  "overall": a.profile.overall} for a in audits],
         "detector_agreement": result.agreement(),
     }
     _write(out_dir / "run.json", json.dumps(run_meta, indent=2) + "\n", generated_at)
@@ -167,35 +112,90 @@ def audit(codebook, cache, rules, out, jobs, reveal_names):
             path.unlink(missing_ok=True)
         except OSError as exc:
             raise PrafError(f"cannot remove {path}: {exc}") from exc
-    click.echo(f"audited {len(audits)} apps -> {out_dir}")
+    print(f"audited {len(audits)} apps -> {out_dir}")
     agreement = run_meta["detector_agreement"]
     if agreement["rate"] is not None:
-        click.echo(
-            f"detector/annotation agreement: {agreement['agreeing_cells']}"
-            f"/{agreement['annotated_cells']} cells ({agreement['rate']:.1%})"
-        )
+        print(f"detector/annotation agreement: {agreement['agreeing_cells']}"
+              f"/{agreement['annotated_cells']} cells ({agreement['rate']:.1%})")
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--codebook", type=click.Path(), default=str(FIXTURES_DIR / "codebook.json"),
-              show_default=True, help="Codebook with the reference annotations.")
-@click.option("--expected", type=click.Path(),
-              default=str(FIXTURES_DIR / "reference_results.json"),
-              show_default=True, help="Reference results file.")
-def verify(codebook, expected):
-    """Recompute all profiles from annotations and diff them against the
-    bundled reference results."""
+def verify(args: argparse.Namespace) -> int:
+    """Diff the profiles recomputed from annotations against the reference results."""
     # Imported here so that audit and fetch do not load the verify module.
     from .verify import load_reference, render_report, run_verify
+    codebook, expected = args.codebook, args.expected
     cb = load_codebook(codebook)
     reference = load_reference(expected)
     try:
         report = run_verify(cb, reference)
     except PrafError as exc:
         _fail(EXIT_CONFIG, f"reference results {expected} do not fit codebook {codebook}: {exc}")
-    click.echo(render_report(report), nl=False)
-    sys.exit(EXIT_OK if report.passed else EXIT_VERIFY_FAILED)
+    print(render_report(report), end="")
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
+
+def _path(value: str) -> str:
+    """A path option's value: any string but the empty one, which names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return value
+
+
+def _jobs(value: str) -> int:
+    if not value.strip().removeprefix("+").isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer of at least 1")
+    return int(value)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False,
+                                     description="Privacy-policy risk audits of healthcare apps.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    def command(run, codebook_help: str = "Codebook JSON file") -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--codebook", type=_path, default=str(FIXTURES_DIR / "codebook.json"),
+                         help=codebook_help + " (default: %(default)s).")
+        return sub
+
+    add = command(fetch).add_argument
+    add("--cache", type=_path, help="Cache directory; offline, defaults to the bundled fixtures.")
+    add("--offline", action="store_true", help="Never touch the network; replay the cache.")
+    add("--jobs", type=_jobs, default=pipeline.DEFAULT_JOBS,
+        help="Concurrent fetch workers (default: %(default)s).")
+    add("--respect-robots", dest="respect_robots", action="store_true", default=True,
+        help="Obey robots.txt (the default).")
+    add("--ignore-robots", dest="respect_robots", action="store_false",
+        help="Fetch pages that robots.txt disallows.")
+    add = command(audit).add_argument
+    add("--cache", type=_path, help="Cache directory (defaults to the bundled fixtures).")
+    add("--rules", type=_path, default=str(default_rules_path()),
+        help="Detection rule file (default: %(default)s).")
+    add("--out", type=_path, default="praf-out",
+        help="Output directory for report artifacts (default: %(default)s).")
+    add("--jobs", type=int, help=argparse.SUPPRESS)  # accepted and ignored: audit runs serially
+    add("--reveal-names", action="store_true",
+        help="Include real app names in per-app reports (redacted by default).")
+    add = command(verify, "Codebook with the reference annotations").add_argument
+    add("--expected", type=_path, default=str(FIXTURES_DIR / "reference_results.json"),
+        help="Reference results file (default: %(default)s).")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "praf",
+         standalone_mode: bool = True) -> None:
+    """Run one command and exit with its code; ``standalone_mode`` is ignored."""
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        code = parsed.run(parsed)
+    except PrafError as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    sys.exit(code)
+
+
+main.main = main  # click's call, which perfbench/child_audit.py still makes
 
 if __name__ == "__main__":
     main()

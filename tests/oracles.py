@@ -1,17 +1,45 @@
 """Test oracles shared by several test modules: inverses and re-checks of
-what the program emits, kept out of the package because only tests use them."""
+what the program emits, and a runner of its command line, kept out of the
+package because only tests use them."""
 
 import csv
 import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from html import unescape
 from html.parser import HTMLParser
 
+from praf.cli import main
 from praf.detect import DetectionDimension as Dim, Verdict
 from praf.html_text import LANDMARK_TAGS, SKIP_TAGS, TextExtractor
 from praf.readability import _WORD_RE, ReadabilityBand
 from praf.score import ELEMENTS
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """Run ``praf <args>`` in this process. The output is its stdout and
+    stderr interleaved; an exception, or an exit with a code other than 0,
+    is recorded in ``exception``, not raised."""
+    output = io.StringIO()
+    try:
+        with redirect_stdout(output), redirect_stderr(output):
+            main(args)
+        code, exception = 0, None
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 1
+        exception = exc if code else None
+    except Exception as exc:
+        code, exception = 1, exc
+    return CliResult(code, output.getvalue(), exception)
 
 
 def matches_in(pattern, text: str) -> bool:

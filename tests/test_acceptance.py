@@ -10,9 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from praf.cli import main as cli_main
 from praf.detect import (
     DetectionDimension as Dim,
     Finding,
@@ -28,7 +26,7 @@ from praf.report import summarize
 from praf.score import score_app
 from praf.verify import reference_audits, run_verify
 
-from oracles import matches_in, parse_matrix
+from oracles import matches_in, parse_matrix, run_cli
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -66,7 +64,7 @@ def test_criterion_1_reference_table_reproduction(fixture_codebook, reference):
         ("A2", 20, 19)
     ]
 
-    result = CliRunner().invoke(cli_main, ["verify"])
+    result = run_cli(["verify"])
     assert result.exit_code == 0
     announce(1, "reference table reproduction, A2 waived, < 1 s")
 
@@ -292,11 +290,10 @@ def _artifact_bytes(out_dir: Path) -> dict[str, bytes]:
 
 
 def test_criterion_7_pipeline_determinism(tmp_path):
-    runner = CliRunner()
     outs = []
     for name in ("one", "two"):
         out = tmp_path / name
-        result = runner.invoke(cli_main, ["audit", "--out", str(out)])
+        result = run_cli(["audit", "--out", str(out)])
         assert result.exit_code == 0
         outs.append(out)
     first, second = (_artifact_bytes(o) for o in outs)

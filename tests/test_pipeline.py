@@ -3,13 +3,13 @@ import sys
 import threading
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from praf.cli import FIXTURES_DIR, main
+from praf.cli import FIXTURES_DIR
 from praf.corpus import AppCategory, AppRecord, Codebook
 from praf.detect import default_rules_path, load_rules
 from praf.ingest import InaccessibleReason, cache_get
 from praf.pipeline import fetch_corpus, run_audit
+
+from oracles import run_cli
 
 FIXTURES = Path(__file__).parents[1] / "src" / "praf" / "data" / "fixtures"
 
@@ -206,13 +206,12 @@ class TestAuditPipeline:
 
 
 class TestCacheOption:
-    def test_praf_cache_env_is_ignored(self, tmp_path):
+    def test_praf_cache_env_is_ignored(self, tmp_path, monkeypatch):
         """Only --cache sets the cache: an empty directory in $PRAF_CACHE
         does not hide the bundled one."""
         (tmp_path / "envcache").mkdir()
-        result = CliRunner().invoke(
-            main, ["fetch", "--offline"], env={"PRAF_CACHE": str(tmp_path / "envcache")},
-        )
+        monkeypatch.setenv("PRAF_CACHE", str(tmp_path / "envcache"))
+        result = run_cli(["fetch", "--offline"])
         assert result.exit_code == 0
         manifest = json.loads(result.output)
         assert manifest["cache"] == str(FIXTURES_DIR / "cache")
