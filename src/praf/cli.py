@@ -1,13 +1,14 @@
 """Command-line interface: fetch, audit, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error (a
-PrafError, naming the input at fault), 3 incomplete inputs (an app
-with neither a cached document nor complete annotations). Defaults point at
-the bundled reference fixtures so `praf audit` and `praf verify` work out of
-the box. Every audit writes one artifact set with one time, read once per
-run: the header line of each markdown artifact and run.json's generated_at,
-the only places a time appears. What an earlier audit into the same
-directory wrote and this one did not is deleted, so it holds one set.
+PrafError, or a cache directory to read that does not exist, naming the input
+at fault), 3 incomplete inputs (an app with neither a cached document nor
+complete annotations). Defaults point at the bundled reference fixtures so
+`praf audit` and `praf verify` work out of the box. Every audit writes one
+artifact set with one time, read once per run: the header line of each
+markdown artifact and run.json's generated_at, the only places a time
+appears. What an earlier audit into the same directory wrote and this one
+did not is deleted, so it holds one set.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ def _fail(code: int, message: str) -> None:
 
 
 def _resolve_cache(cache: str | None, *, writable: bool) -> Path:
+    """The cache directory; only one that will be written may not exist yet."""
     if cache is not None:
+        if not (writable or Path(cache).is_dir()):
+            _fail(EXIT_CONFIG, f"cache directory not found: {cache}")
         return Path(cache)
     if writable:
         _fail(EXIT_CONFIG, "no writable cache directory; pass --cache")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 from urllib.parse import unquote, urlsplit
 
 from .detect import DIMENSIONS, DetectionDimension, Verdict
@@ -39,15 +39,19 @@ class StoreSource(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class AppRecord:
+# A NamedTuple cannot define __new__, so a record's check is in a subclass; _replace skips it.
+class _AppRecord(NamedTuple):
     pseudonym: str
     category: AppCategory
     real_name: str | None = None
     policy_url: str | None = None
     store_source: StoreSource = StoreSource.OTHER
 
-    def __post_init__(self):
+
+class AppRecord(_AppRecord):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not PSEUDONYM_RE.match(self.pseudonym):
             raise PrafError(
                 f"pseudonym {self.pseudonym!r} must be a letter plus a positive integer",
@@ -61,25 +65,28 @@ class AppRecord:
             if not (parts and parts.scheme in ("http", "https") and parts.hostname):
                 raise PrafError(f"policy_url {self.policy_url!r} must be null or an "
                                 "absolute http(s) URL", "policy_url")
+        return self
 
 
-@dataclass(frozen=True)
-class AnnotationSet:
+class AnnotationSet(NamedTuple):
     """Reviewer decisions for one app; each override replaces the automated
     verdict for its dimension."""
 
     app: str
-    overrides: Mapping[DetectionDimension, Verdict] = field(default_factory=dict)
+    overrides: Mapping[DetectionDimension, Verdict] = MappingProxyType({})
     reviewer_note: str = ""
     timestamp: datetime = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class Codebook:
+class _Codebook(NamedTuple):
     records: tuple[AppRecord, ...] = ()
     annotations: tuple[AnnotationSet, ...] = ()
 
-    def __post_init__(self):
+
+class Codebook(_Codebook):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         seen = set()
         for rec in self.records:
             if rec.pseudonym in seen:
@@ -88,6 +95,7 @@ class Codebook:
         for ann in self.annotations:
             if ann.app not in seen:
                 raise PrafError(f"annotation references unknown app {ann.app!r}")
+        return self
 
     def overrides_for(self, pseudonym: str) -> dict[DetectionDimension, Verdict]:
         """Merged overrides for one app; later annotation sets win per dimension."""
@@ -98,8 +106,7 @@ class Codebook:
         return merged
 
 
-@dataclass(frozen=True)
-class RawAppEntry:
+class RawAppEntry(NamedTuple):
     """Un-pseudonymized input row for assign_pseudonyms."""
 
     name: str

@@ -52,9 +52,9 @@ reports and verification all read these two tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NUMBER, PrafError, read_json
@@ -83,8 +83,7 @@ class DetectionDimension(Enum):
     THIRD_PARTY_SHARING = "third_party_sharing"
 
 
-@dataclass(frozen=True)
-class DimensionSpec:
+class DimensionSpec(NamedTuple):
     """How one dimension is detected, shown and scored."""
 
     kind: str                        # "regulation", "principle" or "language"
@@ -142,8 +141,7 @@ def dimensions(*, kind: str | None = None, element: str | None = None) -> list[D
             and (element is None or spec.element == element)]
 
 
-@dataclass(frozen=True)
-class EvidenceSpan:
+class EvidenceSpan(NamedTuple):
     """Character offsets into the source text plus the rule that matched."""
 
     start: int
@@ -151,20 +149,24 @@ class EvidenceSpan:
     rule_id: str
 
 
-@dataclass(frozen=True)
-class Finding:
+class _Finding(NamedTuple):
     dimension: DetectionDimension
     verdict: Verdict
     evidence: tuple[EvidenceSpan, ...] = ()
     detail: Mapping | None = None
     manual: bool = False
 
-    def __post_init__(self):
+
+class Finding(_Finding):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.manual:
             if self.verdict is Verdict.NO and self.evidence:
                 raise ValueError(f"{self.dimension.value}: verdict no with evidence")
             if self.verdict is not Verdict.NO and not self.evidence:
                 raise ValueError(f"{self.dimension.value}: positive verdict without evidence")
+        return self
 
 
 class Side(NamedTuple):
@@ -176,8 +178,7 @@ class Side(NamedTuple):
     prefix: bool
 
 
-@dataclass(frozen=True)
-class CompiledPattern:
+class CompiledPattern(NamedTuple):
     raw: str
     rule_id: str
     sides: tuple[Side, ...]  # all must match in one sentence
@@ -202,22 +203,25 @@ def compile_pattern(raw: str, rule_id: str) -> CompiledPattern:
     return CompiledPattern(raw, rule_id, tuple(_side(part.strip()) for part in raw.split("~")))
 
 
-@dataclass(frozen=True)
-class DimensionRules:
+class DimensionRules(NamedTuple):
     strong: tuple[CompiledPattern, ...]
     weak: tuple[CompiledPattern, ...]
-    thresholds: Mapping[str, float] = field(default_factory=dict)
+    thresholds: Mapping[str, float] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class _RuleSet(NamedTuple):
     by_dimension: Mapping[DetectionDimension, DimensionRules]
 
-    def __post_init__(self):
+
+class RuleSet(_RuleSet):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for dim in DetectionDimension:
             rules = self.by_dimension.get(dim)
             if rules is None or not (rules.strong or rules.weak):
                 raise PrafError(f"dimension {dim.value} has no rules")
+        return self
 
     def rules_for(self, dim: DetectionDimension) -> DimensionRules:
         return self.by_dimension[dim]

@@ -18,10 +18,10 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmptyAfterExtraction, PrafError, read_json
 
@@ -38,8 +38,7 @@ class InaccessibleReason(Enum):
     ROBOTS_BLOCKED = "robots_blocked"
 
 
-@dataclass(frozen=True)
-class PolicyDocument:
+class _PolicyDocument(NamedTuple):
     app: str
     source: str
     raw: bytes
@@ -50,7 +49,11 @@ class PolicyDocument:
     http_status: int | None = None
     content_type: str | None = None
 
-    def __post_init__(self):
+
+class PolicyDocument(_PolicyDocument):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.accessible:
             if not self.text or self.text.isspace():
                 raise ValueError(f"{self.app}: accessible document with empty text")
@@ -61,18 +64,17 @@ class PolicyDocument:
                 raise ValueError(f"{self.app}: inaccessible document with text")
             if self.reason is None:
                 raise ValueError(f"{self.app}: inaccessible document needs a reason")
+        return self
 
 
-@dataclass(frozen=True)
-class RawFetch:
+class RawFetch(NamedTuple):
     final_url: str
     body: bytes
     content_type: str
     status: int
 
 
-@dataclass(frozen=True)
-class FetchFailure:
+class FetchFailure(NamedTuple):
     url: str
     reason: InaccessibleReason
     status: int | None = None

@@ -14,8 +14,8 @@ codebook order so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .corpus import AppRecord, Codebook
@@ -111,8 +111,7 @@ def fetch_corpus(codebook: Codebook, cache_dir: Path, *, offline: bool = False,
 # --- audit ---------------------------------------------------------------------
 
 
-@dataclass
-class AppAudit:
+class AppAudit(NamedTuple):
     """One app's audit. An accessible policy always carries readability and
     an inaccessible one never does; text is the analysed policy text, if any."""
 
@@ -128,10 +127,15 @@ class AppAudit:
         return self.readability is not None
 
 
-@dataclass
-class AuditResult:
+class _AuditResult(NamedTuple):
     audits: list[AppAudit]
-    incomplete: list[str] = field(default_factory=list)
+    incomplete: list[str]
+
+
+class AuditResult(_AuditResult):
+    __slots__ = ()
+    def __new__(cls, audits: list[AppAudit], incomplete: list[str] | None = None):
+        return super().__new__(cls, audits, [] if incomplete is None else incomplete)
 
     def agreement(self) -> dict:
         """Detector/annotation agreement over manually annotated cells of

@@ -23,9 +23,8 @@ import re
 import unicodedata
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 SMOG_SLOPE = 1.0430
 SMOG_INTERCEPT = 3.1291
@@ -73,19 +72,23 @@ def readability_points(b: ReadabilityBand) -> int:
     return _BAND_POINTS[b]
 
 
-@dataclass(frozen=True)
-class ReadabilityResult:
+class _ReadabilityResult(NamedTuple):
     smog_grade: float
     sentence_count: int
     polysyllable_count: int
 
-    def __post_init__(self):
+
+class ReadabilityResult(_ReadabilityResult):
+    __slots__ = ()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.smog_grade < SMOG_INTERCEPT - 1e-9:
             raise ValueError("SMOG grade below formula intercept")
         if self.sentence_count > 0:
             expected = smog_from_counts(self.sentence_count, self.polysyllable_count)
             if abs(expected - self.smog_grade) > 1e-9:
                 raise ValueError("grade inconsistent with counts")
+        return self
 
     @property
     def band(self) -> ReadabilityBand:
@@ -231,13 +234,13 @@ _FOLD_WORDS = bytes.maketrans(bytes(range(128)), bytes(
     ord(chr(c).lower()) if chr(c).isalnum() or chr(c) == "_" else ord(" ") for c in range(128)))
 
 
-@dataclass(frozen=True)
 class AnalyzedText:
     """A text with its sentence spans, computed once, and the index of its
     words, built the first time it is read."""
 
-    text: str
-    sentence_spans: tuple[tuple[int, int], ...]
+    def __init__(self, text: str, sentence_spans: tuple[tuple[int, int], ...]):
+        self.text = text
+        self.sentence_spans = sentence_spans
 
     @functools.cached_property
     def word_sentences(self) -> dict[str, list[int]]:

@@ -15,8 +15,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .detect import DIMENSIONS, Finding, Verdict, dimensions
 from .errors import PrafError
@@ -47,8 +46,7 @@ _NO_REGULATION = ("no_regulation", "No regulation mentioned")
 COUNT_KEYS = [spec.count[0] for spec in DIMENSIONS.values() if spec.count] + [_NO_REGULATION[0]]
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     total_apps: int
     accessible_apps: int
     counts: Mapping[str, int]

@@ -16,15 +16,13 @@ Usability starts from the readability points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .detect import DIMENSIONS, DetectionDimension as Dim, Finding, Verdict
 from .readability import ReadabilityResult
 
 
-@dataclass(frozen=True)
-class PrafProfile:
+class PrafProfile(NamedTuple):
     app: str
     regulatory: int
     security: int
@@ -40,8 +38,7 @@ class PrafProfile:
         return {e.field: getattr(self, e.field) for e in ELEMENTS[:-1]}
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     field: str    # PrafProfile attribute
     column: str   # matrix column
     label: str

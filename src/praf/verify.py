@@ -11,8 +11,8 @@ and the reference value is reported as waived rather than failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Codebook
 from .detect import DetectionDimension as Dim, no_findings
@@ -23,8 +23,7 @@ from .report import COUNT_KEYS, CorpusSummary, summarize
 from .score import ELEMENTS
 
 
-@dataclass
-class CellCheck:
+class CellCheck(NamedTuple):
     app: str
     fieldname: str
     computed: object
@@ -33,10 +32,17 @@ class CellCheck:
     note: str = ""
 
 
-@dataclass
-class VerifyReport:
-    cells: list[CellCheck] = field(default_factory=list)
-    summary_checks: list[CellCheck] = field(default_factory=list)
+class _VerifyReport(NamedTuple):
+    cells: list[CellCheck]
+    summary_checks: list[CellCheck]
+
+
+class VerifyReport(_VerifyReport):
+    __slots__ = ()
+    def __new__(cls, cells: list[CellCheck] | None = None,
+                summary_checks: list[CellCheck] | None = None):
+        return super().__new__(cls, [] if cells is None else cells,
+                               [] if summary_checks is None else summary_checks)
 
     @property
     def failures(self) -> list[CellCheck]:

@@ -38,11 +38,27 @@ class TestFetch:
         assert statuses["A24"] == "inaccessible"
 
     def test_offline_cold_cache_gives_no_cache(self, tmp_path):
+        (tmp_path / "cold").mkdir()
         result = run_cli(["fetch", "--offline", "--cache", str(tmp_path / "cold")])
         assert result.exit_code == 0
         manifest = json.loads(result.output)
         assert all(a["status"] == "inaccessible" for a in manifest["apps"])
         assert all(a["reason"] == "no_cache" for a in manifest["apps"])
+
+    def test_offline_missing_cache_dir_exit_2(self, tmp_path):
+        result = run_cli(["fetch", "--offline", "--cache", str(tmp_path / "missing")])
+        assert result.exit_code == 2
+        assert result.output == f"error: cache directory not found: {tmp_path / 'missing'}\n"
+
+    def test_online_creates_the_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("praf.pipeline.UrllibTransport", lambda: SimpleNamespace(
+            get=lambda url, timeout: (404, "text/html", b"", url)))
+        cache = tmp_path / "new" / "cache"
+        result = run_cli(["fetch", "--cache", str(cache), "--ignore-robots"])
+        assert result.exit_code == 0, result.output
+        apps = json.loads(result.output)["apps"]
+        assert {a["reason"] for a in apps} == {"http_error"}
+        assert len(list(cache.glob("*.json"))) == len(apps) == 28
 
     def test_empty_codebook(self, tmp_path):
         cb = tmp_path / "empty.json"
@@ -243,7 +259,15 @@ class TestAudit:
         assert result.output.startswith("error: ")
         assert entry.name in result.output
 
+    def test_missing_cache_dir_exit_2(self, tmp_path):
+        result = run_cli(["audit", "--cache", str(tmp_path / "missing"),
+                          "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == f"error: cache directory not found: {tmp_path / 'missing'}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_doc_and_annotations_exit_3(self, tmp_path):
+        (tmp_path / "cold").mkdir()
         cb = tmp_path / "cb.json"
         cb.write_text(json.dumps({
             "records": [{"pseudonym": "A1", "real_name": None, "category": "Telehealth",
@@ -258,6 +282,7 @@ class TestAudit:
         assert "A1" in result.output
 
     def test_fully_annotated_app_without_document_scores_zero(self, tmp_path):
+        (tmp_path / "cold").mkdir()
         fixture_cb = json.loads((FIXTURES / "codebook.json").read_text())
         one = {
             "records": [r for r in fixture_cb["records"] if r["pseudonym"] == "A1"],
@@ -604,6 +629,13 @@ def test_audit_loads_no_fetch_or_verify_module(tmp_path):
     _, loaded = _run_fresh(tmp_path, "audit")
     assert "praf.pipeline" in loaded
     assert loaded & {"concurrent.futures", "praf.verify", "praf.html_text"} == set()
+
+
+def test_audit_and_verify_load_no_dataclasses_or_inspect(tmp_path):
+    """Start-up: praf's records are named tuples, so a run loads neither
+    dataclasses nor inspect, ast, dis and tokenize, which it imports."""
+    _, loaded = _run_fresh(tmp_path, "audit", "verify")
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_extraction_loads_no_html_parser(tmp_path):

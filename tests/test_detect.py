@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import sys
@@ -292,10 +291,10 @@ def _all_patterns(ruleset):
 def _without_prefilter(ruleset) -> RuleSet:
     """The same rules with empty needles, so every pattern runs on every sentence."""
     def strip(patterns):
-        return tuple(dataclasses.replace(p, sides=tuple(side._replace(word="", prefix=False)
-                                                        for side in p.sides))
+        return tuple(p._replace(sides=tuple(side._replace(word="", prefix=False)
+                                            for side in p.sides))
                      for p in patterns)
-    return RuleSet({dim: dataclasses.replace(dr, strong=strip(dr.strong), weak=strip(dr.weak))
+    return RuleSet({dim: dr._replace(strong=strip(dr.strong), weak=strip(dr.weak))
                     for dim, dr in ruleset.by_dimension.items()})
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,8 +204,7 @@ class TestScoreApp:
         section, before = section_and_points()
         assert section == "Usability & accessibility"
         assert (before.security, before.usability) == (3, 2 + 2 + 2 + 2)
-        monkeypatch.setitem(DIMENSIONS, a11y, dataclasses.replace(DIMENSIONS[a11y],
-                                                                  element="security"))
+        monkeypatch.setitem(DIMENSIONS, a11y, DIMENSIONS[a11y]._replace(element="security"))
         section, after = section_and_points()
         assert section == "Data security"
         assert (after.security, after.usability) == (3 + 2, 2 + 2 + 2)
